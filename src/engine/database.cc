@@ -105,13 +105,16 @@ Result<PlanPtr> Database::PlanSelect(const std::string& sql,
   ReaderMutexLock lock(&storage_mutex_);
   Binder binder(&catalog_);
   SELTRIG_ASSIGN_OR_RETURN(PlanPtr plan, binder.BindSelect(*wrapper.select));
-  OptimizerOptions opt_options = options;
-  opt_options.catalog = &catalog_;
+  return OptimizePlan(std::move(plan), AuditAwareOptimizerOptions(options));
+}
+
+OptimizerOptions Database::AuditAwareOptimizerOptions(OptimizerOptions options) const {
+  options.catalog = &catalog_;
   for (const AuditExpressionDef* def : audit_.All()) {
-    opt_options.audit_keys.push_back(
+    options.audit_keys.push_back(
         {def->sensitive_table(), def->partition_column(), def->partition_by()});
   }
-  return OptimizePlan(std::move(plan), opt_options);
+  return options;
 }
 
 }  // namespace seltrig

@@ -148,6 +148,11 @@ class Database {
  private:
   friend class Session;
 
+  // `options` bound to this catalog, with leaf retention / ID propagation
+  // for every registered audit expression (Section IV-A1): column pruning
+  // keeps their partition keys reachable.
+  OptimizerOptions AuditAwareOptimizerOptions(OptimizerOptions options) const;
+
   Catalog catalog_;
   // Declared before audit_: the AuditManager borrows the default session's
   // context for its clock.

@@ -13,6 +13,54 @@
 
 namespace seltrig {
 
+namespace {
+
+// The engine's one implicit conversion rule: a value of type `from` may be
+// stored as `to` when the types match or both are numeric (INT <-> DOUBLE;
+// DOUBLE -> INT truncates). When `v` is given it is converted in place.
+bool Coerce(TypeId from, TypeId to, Value* v = nullptr) {
+  if (from == to) return true;
+  auto numeric = [](TypeId t) { return t == TypeId::kInt || t == TypeId::kDouble; };
+  if (!numeric(from) || !numeric(to)) return false;
+  if (v != nullptr) {
+    *v = to == TypeId::kDouble ? Value::Double(static_cast<double>(v->AsInt()))
+                               : Value::Int(static_cast<int64_t>(v->AsDouble()));
+  }
+  return true;
+}
+
+Status CoerceRowToSchema(const Schema& schema, Row* row, const std::string& what) {
+  for (size_t i = 0; i < row->size(); ++i) {
+    Value& v = (*row)[i];
+    if (v.is_null() || Coerce(v.type(), schema.column(i).type, &v)) continue;
+    return Status::ExecutionError(what + ": cannot store " +
+                                  std::string(TypeName(v.type())) + " into column '" +
+                                  schema.column(i).name + "' of type " +
+                                  TypeName(schema.column(i).type));
+  }
+  return Status::OK();
+}
+
+// Phase 1 of UPDATE and DELETE: the ids of the live rows passing `filter`
+// (every live row when null), collected before anything mutates.
+Result<std::vector<size_t>> MatchRows(const Table& table, const Expr* filter,
+                                      EvalContext ec) {
+  std::vector<size_t> ids;
+  for (size_t id = 0; id < table.slot_count(); ++id) {
+    if (!table.IsLive(id)) continue;
+    if (filter != nullptr) {
+      const Row row = table.GetRow(id);
+      ec.row = &row;
+      SELTRIG_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*filter, ec));
+      if (!pass) continue;
+    }
+    ids.push_back(id);
+  }
+  return ids;
+}
+
+}  // namespace
+
 Session::Session(Database* db)
     : db_(db), engine_mutex_(&db->storage_mutex()) {}
 
@@ -67,7 +115,7 @@ Result<StatementResult> Session::ExecuteStatement(ast::Statement& stmt,
   // for everything it cascades into. Nested statements (trigger actions, IF
   // branches) run lock-free under the top-level statement's lock and journal
   // into the top-level statement's buffer.
-  const bool top_level = depth == 0 && action == nullptr;
+  const bool top_level = IsTopLevel(depth, action);
   if (!top_level) return DispatchStatement(stmt, options, depth, action);
 
   // SELECT and EXPLAIN manage the (shared) lock themselves; a SELECT's write
@@ -79,31 +127,39 @@ Result<StatementResult> Session::ExecuteStatement(ast::Statement& stmt,
     return FinishTopLevel(DispatchStatement(stmt, options, depth, action));
   }
 
-  Result<StatementResult> result = [&]() -> Result<StatementResult> {
+  Result<StatementResult> result = StatementResult{};
+  {
     WriterMutexLock write_lock(engine_mutex_);
-    // The whole statement — its own writes plus everything its triggers
-    // cascade into — runs in one undo scope, so any failure (including a
-    // failed journal append: fail closed) rolls it back completely. Memory
-    // state visible after a statement is therefore exactly the state journal
-    // replay reproduces: failed statements leave no trace in either.
-    TriggerTxnScope txn(this);
-    const size_t undo_sp = trigger_undo_.Savepoint();
-    const size_t wal_sp = wal_buffer_.size();  // 0 between top-level statements
-    Result<StatementResult> inner = DispatchStatement(stmt, options, depth, action);
-    if (inner.ok()) {
-      Status appended = WalAppendLocked();
-      if (!appended.ok()) inner = appended;
-    }
-    if (!inner.ok()) {
-      SELTRIG_RETURN_IF_ERROR(RollbackTriggerWrites(undo_sp, wal_sp));
-      // The rollback keeps what memory keeps: loss-accounting rows and
-      // irreversible DDL stay buffered; journal them even though the
-      // statement failed (best-effort — the statement is failing anyway).
-      if (wal_buffer_.size() > wal_sp) (void)WalAppendLocked();
-    }
-    return inner;
-  }();
+    Status committed = CommitUnit(/*journal=*/true, [&] {
+      result = DispatchStatement(stmt, options, depth, action);
+      return result.status();
+    });
+    if (!committed.ok()) result = std::move(committed);
+  }
   return FinishTopLevel(std::move(result));
+}
+
+Status Session::CommitUnit(bool journal, const std::function<Status()>& body) {
+  // The whole unit — the statement's own writes plus everything its triggers
+  // cascade into — runs in one undo scope, so any failure (including a
+  // failed journal append: fail closed) rolls it back completely. Memory
+  // state visible after a statement is therefore exactly the state journal
+  // replay reproduces: failed statements leave no trace in either.
+  TriggerTxnScope txn(this);
+  const size_t undo_sp = trigger_undo_.Savepoint();
+  const size_t wal_sp = wal_buffer_.size();  // 0 in a top-level unit
+  Status status = body();
+  // Journal before the writer lock is released so append order matches
+  // commit order; the durability wait happens lock-free in FinishTopLevel.
+  if (status.ok() && journal) status = WalAppendLocked();
+  if (status.ok()) return status;
+  SELTRIG_RETURN_IF_ERROR(RollbackTriggerWrites(undo_sp, wal_sp));
+  // The rollback keeps what memory keeps: loss-accounting rows, irreversible
+  // DDL and quarantine transitions stay buffered. Journal them best-effort:
+  // the unit is already failing with `status`, and a second journal error
+  // must not mask it.
+  if (journal && wal_buffer_.size() > wal_sp) (void)WalAppendLocked();
+  return status;
 }
 
 Result<StatementResult> Session::FinishTopLevel(Result<StatementResult> result) {
@@ -135,7 +191,7 @@ Result<StatementResult> Session::DispatchStatement(ast::Statement& stmt,
                                                    const ExecOptions& options,
                                                    int depth,
                                                    const ActionContext* action) {
-  const bool top_level = depth == 0 && action == nullptr;
+  const bool top_level = IsTopLevel(depth, action);
   switch (stmt.kind) {
     case ast::StatementKind::kSelect:
       return ExecuteSelect(*static_cast<ast::SelectWrapper&>(stmt).select, options,
@@ -149,67 +205,71 @@ Result<StatementResult> Session::DispatchStatement(ast::Statement& stmt,
     case ast::StatementKind::kDelete:
       return ExecuteDelete(static_cast<const ast::DeleteStatement&>(stmt), options,
                            depth, action);
-    case ast::StatementKind::kCreateTable: {
-      SELTRIG_RETURN_IF_ERROR(CheckDdlJournalable(stmt));
-      Result<StatementResult> result =
-          ExecuteCreateTable(static_cast<const ast::CreateTableStatement&>(stmt));
-      if (result.ok()) JournalDdl(stmt);
-      return result;
+    case ast::StatementKind::kCreateTable:
+      return ExecuteDdl(stmt, [&] {
+        return ExecuteCreateTable(static_cast<const ast::CreateTableStatement&>(stmt));
+      });
+    case ast::StatementKind::kCreateAuditExpression:
+      return ExecuteDdl(stmt, [&] {
+        auto& create = static_cast<ast::CreateAuditExpressionStatement&>(stmt);
+        ast::CreateAuditExpressionStatement moved;
+        moved.name = std::move(create.name);
+        moved.select = std::move(create.select);
+        moved.sensitive_table = std::move(create.sensitive_table);
+        moved.partition_by = std::move(create.partition_by);
+        moved.source = create.source;  // definition_sql for snapshots/replay
+        return db_->audit_.CreateAuditExpression(std::move(moved));
+      });
+    case ast::StatementKind::kCreateTrigger:
+      return ExecuteDdl(stmt, [&] {
+        return ExecuteCreateTrigger(static_cast<ast::CreateTriggerStatement&>(stmt));
+      });
+    case ast::StatementKind::kDropTable:
+      return ExecuteDdl(stmt, [&] {
+        return db_->catalog_.DropTable(static_cast<const ast::DropStatement&>(stmt).name);
+      });
+    case ast::StatementKind::kDropTrigger:
+      return ExecuteDdl(stmt, [&] {
+        return db_->triggers_.DropTrigger(
+            static_cast<const ast::DropStatement&>(stmt).name);
+      });
+    case ast::StatementKind::kDropAuditExpression:
+      return ExecuteDdl(stmt, [&] {
+        return db_->audit_.DropAuditExpression(
+            static_cast<const ast::DropStatement&>(stmt).name);
+      });
+    case ast::StatementKind::kAlterTable:
+      return ExecuteDdl(stmt, [&] {
+        return ExecuteAlterTable(static_cast<const ast::AlterTableStatement&>(stmt),
+                                 options, depth);
+      });
+    case ast::StatementKind::kIf: {
+      auto& if_stmt = static_cast<ast::IfStatement&>(stmt);
+      SELTRIG_ASSIGN_OR_RETURN(Value v, EvalStandalone(*if_stmt.condition, options,
+                                                       depth, action));
+      if (v.is_null() || v.type() != TypeId::kBool || !v.AsBool()) {
+        return StatementResult{};
+      }
+      // A top-level IF already holds the writer lock (taken in the frame), so
+      // its branch must run as a nested statement — re-locking the
+      // non-recursive mutex from the same thread would deadlock.
+      return ExecuteStatement(*if_stmt.then_branch, options, depth == 0 ? 1 : depth,
+                              action);
     }
-    case ast::StatementKind::kCreateAuditExpression: {
-      SELTRIG_RETURN_IF_ERROR(CheckDdlJournalable(stmt));
-      auto& create = static_cast<ast::CreateAuditExpressionStatement&>(stmt);
-      ast::CreateAuditExpressionStatement moved;
-      moved.name = std::move(create.name);
-      moved.select = std::move(create.select);
-      moved.sensitive_table = std::move(create.sensitive_table);
-      moved.partition_by = std::move(create.partition_by);
-      moved.source = create.source;  // definition_sql for snapshots/replay
-      SELTRIG_RETURN_IF_ERROR(db_->audit_.CreateAuditExpression(std::move(moved)));
-      JournalDdl(stmt);
+    case ast::StatementKind::kNotify: {
+      const auto& notify = static_cast<const ast::NotifyStatement&>(stmt);
+      SELTRIG_ASSIGN_OR_RETURN(Value v, EvalStandalone(*notify.message, options, depth,
+                                                       action));
+      notifications_.push_back(v.type() == TypeId::kString ? v.AsString() : v.ToString());
       return StatementResult{};
     }
-    case ast::StatementKind::kCreateTrigger: {
-      SELTRIG_RETURN_IF_ERROR(CheckDdlJournalable(stmt));
-      Result<StatementResult> result =
-          ExecuteCreateTrigger(static_cast<ast::CreateTriggerStatement&>(stmt));
-      if (result.ok()) JournalDdl(stmt);
-      return result;
+    case ast::StatementKind::kRaise: {
+      const auto& raise = static_cast<const ast::RaiseStatement&>(stmt);
+      SELTRIG_ASSIGN_OR_RETURN(Value v, EvalStandalone(*raise.message, options, depth,
+                                                       action));
+      return Status::ExecutionError(v.type() == TypeId::kString ? v.AsString()
+                                                                : v.ToString());
     }
-    case ast::StatementKind::kDropTable: {
-      SELTRIG_RETURN_IF_ERROR(CheckDdlJournalable(stmt));
-      const auto& drop = static_cast<const ast::DropStatement&>(stmt);
-      SELTRIG_RETURN_IF_ERROR(db_->catalog_.DropTable(drop.name));
-      JournalDdl(stmt);
-      return StatementResult{};
-    }
-    case ast::StatementKind::kDropTrigger: {
-      SELTRIG_RETURN_IF_ERROR(CheckDdlJournalable(stmt));
-      const auto& drop = static_cast<const ast::DropStatement&>(stmt);
-      SELTRIG_RETURN_IF_ERROR(db_->triggers_.DropTrigger(drop.name));
-      JournalDdl(stmt);
-      return StatementResult{};
-    }
-    case ast::StatementKind::kDropAuditExpression: {
-      SELTRIG_RETURN_IF_ERROR(CheckDdlJournalable(stmt));
-      const auto& drop = static_cast<const ast::DropStatement&>(stmt);
-      SELTRIG_RETURN_IF_ERROR(db_->audit_.DropAuditExpression(drop.name));
-      JournalDdl(stmt);
-      return StatementResult{};
-    }
-    case ast::StatementKind::kAlterTable: {
-      SELTRIG_RETURN_IF_ERROR(CheckDdlJournalable(stmt));
-      // ExecuteAlterTable journals its own WalOp::Ddl record (stamped with the
-      // resulting schema version) instead of the generic JournalDdl path.
-      return ExecuteAlterTable(static_cast<const ast::AlterTableStatement&>(stmt));
-    }
-    case ast::StatementKind::kIf:
-      return ExecuteIf(static_cast<ast::IfStatement&>(stmt), options, depth, action);
-    case ast::StatementKind::kNotify:
-      return ExecuteNotify(static_cast<const ast::NotifyStatement&>(stmt), options,
-                           action);
-    case ast::StatementKind::kRaise:
-      return ExecuteRaise(static_cast<const ast::RaiseStatement&>(stmt), action);
     case ast::StatementKind::kExplain: {
       const auto& explain = static_cast<const ast::ExplainStatement&>(stmt);
       if (top_level) {
@@ -227,16 +287,20 @@ Result<StatementResult> Session::DispatchStatement(ast::Statement& stmt,
 
 bool Session::WalEnabled() const { return db_->wal_ != nullptr; }
 
-Status Session::CheckDdlJournalable(const ast::Statement& stmt) const {
-  if (!WalEnabled() || !stmt.source.empty()) return Status::OK();
-  return Status::Unsupported(
-      "cannot journal DDL without source text: durable databases require "
-      "SQL-driven DDL");
-}
-
-void Session::JournalDdl(const ast::Statement& stmt) {
-  if (!WalEnabled()) return;
-  wal_buffer_.push_back(WalOp::Statement(stmt.source));
+Result<StatementResult> Session::ExecuteDdl(const ast::Statement& stmt,
+                                            const std::function<Status()>& apply) {
+  if (WalEnabled() && stmt.source.empty()) {
+    return Status::Unsupported(
+        "cannot journal DDL without source text: durable databases require "
+        "SQL-driven DDL");
+  }
+  SELTRIG_RETURN_IF_ERROR(apply());
+  // ALTER journals its own WalOp::Ddl record, stamped with the resulting
+  // schema version.
+  if (WalEnabled() && stmt.kind != ast::StatementKind::kAlterTable) {
+    wal_buffer_.push_back(WalOp::Statement(stmt.source));
+  }
+  return StatementResult{};
 }
 
 Status Session::WalAppendLocked() {
@@ -262,14 +326,7 @@ Result<PlanPtr> Session::PrepareSelectPlan(const ast::SelectStatement& stmt,
   ConfigureBinder(&binder, action);
   SELTRIG_ASSIGN_OR_RETURN(PlanPtr plan, binder.BindSelect(stmt));
 
-  OptimizerOptions opt_options = options.optimizer;
-  opt_options.catalog = &db_->catalog_;
-  // Leaf retention / ID propagation for every registered audit expression
-  // (Section IV-A1); column pruning keeps their partition keys reachable.
-  for (const AuditExpressionDef* def : db_->audit_.All()) {
-    opt_options.audit_keys.push_back(
-        {def->sensitive_table(), def->partition_column(), def->partition_by()});
-  }
+  const OptimizerOptions opt_options = db_->AuditAwareOptimizerOptions(options.optimizer);
   SELTRIG_ASSIGN_OR_RETURN(plan, OptimizePlan(std::move(plan), opt_options));
 
   // Audit-operator placement (Section IV-B: after logical optimization).
@@ -348,50 +405,25 @@ Result<StatementResult> Session::RunSelectQuery(const ast::SelectStatement& stmt
   SELTRIG_ASSIGN_OR_RETURN(PlanPtr plan,
                            PrepareSelectPlan(stmt, options, action, &validation));
 
-  // Execute.
-  ExecContext ctx(&db_->catalog_, &ctx_);
-  ctx.set_batch_size(options.batch_size);
-  ctx.set_columnar(options.columnar);
-  ctx.set_collect_profile(options.collect_profile);
-  ctx.set_plan_validation(&validation, plan.get());
-  ctx.set_validate_plans(options.validate_plans);
-  // Morsel parallelism is a top-level-SELECT affair: trigger actions and
-  // other nested statements always run serially (docs/CONCURRENCY.md).
-  ctx.set_num_threads(top_level ? options.num_threads : 1);
+  ExecContext exec = MakeExecContext(options, top_level);
+  exec.set_plan_validation(&validation, plan.get());
   registry->set_limits(
       options.guards.max_accessed_ids > 0
           ? static_cast<size_t>(options.guards.max_accessed_ids)
           : 0,
       options.guards.overflow_policy);
-  ctx.set_accessed(registry);
-  Executor executor(&ctx);
-  // Trigger-action SELECTs execute with the pseudo-row visible.
-  Result<QueryResult> query_result = [&]() -> Result<QueryResult> {
-    if (action != nullptr && action->row != nullptr) {
-      SELTRIG_ASSIGN_OR_RETURN(std::vector<Row> raw,
-                               executor.ExecutePlan(*plan, {action->row}));
-      QueryResult qr;
-      for (size_t i = 0; i < plan->schema.size(); ++i) {
-        if (!plan->schema.column(i).hidden) qr.schema.AddColumn(plan->schema.column(i));
-      }
-      for (Row& row : raw) {
-        Row stripped;
-        for (size_t i = 0; i < plan->schema.size(); ++i) {
-          if (!plan->schema.column(i).hidden) stripped.push_back(std::move(row[i]));
-        }
-        qr.rows.push_back(std::move(stripped));
-      }
-      return qr;
-    }
-    return executor.ExecuteQuery(*plan, options.max_rows);
-  }();
-  SELTRIG_RETURN_IF_ERROR(query_result.status());
-
+  exec.set_accessed(registry);
+  Executor executor(&exec);
+  // max_rows models the client reading a prefix of the result, so only the
+  // client's own SELECT stops early; trigger-action SELECTs run with the
+  // pseudo-row visible.
   StatementResult result;
-  result.result = std::move(query_result).value();
-  result.stats = ctx.stats();
+  SELTRIG_ASSIGN_OR_RETURN(result.result,
+                           executor.ExecuteQuery(*plan, top_level ? options.max_rows : -1,
+                                                 OuterRows(action)));
+  result.stats = exec.stats();
   result.plan_text = PlanToString(*plan);
-  result.profile_text = std::move(ctx.profile_text());
+  result.profile_text = std::move(exec.profile_text());
   for (const auto& [name, state] : registry->states()) {
     result.accessed[name] = state.SortedIds();
   }
@@ -401,7 +433,7 @@ Result<StatementResult> Session::RunSelectQuery(const ast::SelectStatement& stmt
 Result<StatementResult> Session::ExecuteSelect(const ast::SelectStatement& stmt,
                                                const ExecOptions& options, int depth,
                                                const ActionContext* action) {
-  const bool top_level = depth == 0 && action == nullptr;
+  const bool top_level = IsTopLevel(depth, action);
 
   // Read phase: plan + execute under the shared lock (top level only; nested
   // SELECTs run under the top-level statement's lock).
@@ -428,55 +460,32 @@ Result<StatementResult> Session::ExecuteSelect(const ast::SelectStatement& stmt,
   // top-level statement's writer lock). The window between the phases is
   // benign: ACCESSED is already fixed, and trigger actions observe the
   // database state current at their own execution (same as any cascading
-  // statement).
+  // statement). The phase is the SELECT's commit unit; only a top-level
+  // SELECT's unit appends a journal record.
+  auto write_phase = [&]() -> Status {
+    AssertWriterHeld();
+    // An ACCESSED set truncated under AccessedOverflowPolicy::kTruncate is a
+    // (deliberate, bounded) audit loss; account for it before triggers fire.
+    RecordAccessedOverflows(registry);
+    if (!fire_triggers) return Status::OK();
+    // BEFORE triggers run first: an error in their actions (RAISE) denies
+    // the query and the result never reaches the client. AFTER triggers then
+    // run; per Section II they execute even when the client read only a
+    // prefix of the result.
+    SELTRIG_RETURN_IF_ERROR(
+        FireSelectTriggers(registry, options, depth, /*before_phase=*/true));
+    return FireSelectTriggers(registry, options, depth, /*before_phase=*/false);
+  };
   Status phase;
   if (top_level) {
     WriterMutexLock write_lock(engine_mutex_);
-    phase = SelectWritePhase(registry, options, depth, top_level, fire_triggers);
+    phase = CommitUnit(/*journal=*/true, write_phase);
   } else {
     AssertWriterHeld();
-    phase = SelectWritePhase(registry, options, depth, top_level, fire_triggers);
+    phase = CommitUnit(/*journal=*/false, write_phase);
   }
   SELTRIG_RETURN_IF_ERROR(phase);
   return result;
-}
-
-Status Session::SelectWritePhase(const AccessedStateRegistry& registry,
-                                 const ExecOptions& options, int depth,
-                                 bool top_level, bool fire_triggers) {
-  // The write phase is the SELECT's commit unit: one undo scope, one journal
-  // record, same framing as ExecuteStatement gives writer statements.
-  TriggerTxnScope txn(this);
-  const size_t undo_sp = trigger_undo_.Savepoint();
-  const size_t wal_sp = wal_buffer_.size();
-
-  // An ACCESSED set truncated under AccessedOverflowPolicy::kTruncate is a
-  // (deliberate, bounded) audit loss; account for it before triggers fire.
-  RecordAccessedOverflows(registry);
-
-  // Fire SELECT triggers. BEFORE triggers run first: an error in their
-  // actions (RAISE) denies the query and the result never reaches the
-  // client. AFTER triggers then run; per Section II they execute even when
-  // the client read only a prefix of the result.
-  Status phase = Status::OK();
-  if (fire_triggers) {
-    phase = FireSelectTriggers(registry, options, depth, /*before_phase=*/true);
-    if (phase.ok()) {
-      phase = FireSelectTriggers(registry, options, depth, /*before_phase=*/false);
-    }
-  }
-  // Journal before the writer lock is released so append order matches
-  // commit order; the durability wait happens lock-free in FinishTopLevel.
-  if (phase.ok() && top_level) phase = WalAppendLocked();
-  if (!phase.ok()) {
-    SELTRIG_RETURN_IF_ERROR(RollbackTriggerWrites(undo_sp, wal_sp));
-    // Best-effort: the statement is already failing with `phase`; these are
-    // surviving post-rollback records (quarantine transitions), and a second
-    // journal error must not mask the original failure.
-    if (top_level && wal_buffer_.size() > wal_sp) (void)WalAppendLocked();
-    return phase;
-  }
-  return Status::OK();
 }
 
 Status Session::FireSelectTriggers(const AccessedStateRegistry& registry,
@@ -695,30 +704,36 @@ void Session::RecordAccessedOverflows(const AccessedStateRegistry& registry) {
   }
 }
 
-// --- DML ----------------------------------------------------------------------
+// --- Statement frame ----------------------------------------------------------
 
-Status Session::CoerceRowToSchema(const Schema& schema, Row* row,
-                                  const std::string& what) const {
-  for (size_t i = 0; i < row->size(); ++i) {
-    Value& v = (*row)[i];
-    if (v.is_null()) continue;
-    TypeId want = schema.column(i).type;
-    if (v.type() == want) continue;
-    if (v.type() == TypeId::kInt && want == TypeId::kDouble) {
-      v = Value::Double(static_cast<double>(v.AsInt()));
-      continue;
-    }
-    if (v.type() == TypeId::kDouble && want == TypeId::kInt) {
-      v = Value::Int(static_cast<int64_t>(v.AsDouble()));
-      continue;
-    }
-    return Status::ExecutionError(what + ": cannot store " +
-                                  std::string(TypeName(v.type())) + " into column '" +
-                                  schema.column(i).name + "' of type " +
-                                  TypeName(want));
-  }
-  return Status::OK();
+ExecContext Session::MakeExecContext(const ExecOptions& options, bool top_level) {
+  ExecContext ctx(&db_->catalog_, &ctx_);
+  ctx.set_batch_size(options.batch_size);
+  ctx.set_columnar(options.columnar);
+  ctx.set_collect_profile(options.collect_profile);
+  ctx.set_validate_plans(options.validate_plans);
+  // Morsel parallelism is a top-level affair: trigger actions and other
+  // nested statements always run serially (docs/CONCURRENCY.md).
+  ctx.set_num_threads(top_level ? options.num_threads : 1);
+  return ctx;
 }
+
+Result<Value> Session::EvalStandalone(const ast::Expression& expr,
+                                      const ExecOptions& options, int depth,
+                                      const ActionContext* action) {
+  Binder binder(&db_->catalog_);
+  ConfigureBinder(&binder, action);
+  Schema empty;
+  SELTRIG_ASSIGN_OR_RETURN(ExprPtr bound, binder.BindStandaloneExpr(expr, empty));
+  ExecContext exec = MakeExecContext(options, IsTopLevel(depth, action));
+  Executor executor(&exec);  // installs the subquery runner
+  EvalContext ec;
+  ec.exec = &exec;
+  ec.outer_rows = OuterRows(action);
+  return EvalExpr(*bound, ec);
+}
+
+// --- DML ----------------------------------------------------------------------
 
 Result<StatementResult> Session::ExecuteInsert(const ast::InsertStatement& stmt,
                                                const ExecOptions& options, int depth,
@@ -731,27 +746,17 @@ Result<StatementResult> Session::ExecuteInsert(const ast::InsertStatement& stmt,
   SELTRIG_ASSIGN_OR_RETURN(BoundInsert bound, binder.BindInsert(stmt));
   SELTRIG_ASSIGN_OR_RETURN(Table * table, db_->catalog_.GetTable(bound.table));
 
-  // Produce source rows.
-  ExecContext ctx(&db_->catalog_, &ctx_);
-  ctx.set_batch_size(options.batch_size);
-  ctx.set_columnar(options.columnar);
-  Executor executor(&ctx);
-  std::vector<const Row*> outer;
-  if (action != nullptr && action->row != nullptr) outer.push_back(action->row);
-  SELTRIG_ASSIGN_OR_RETURN(std::vector<Row> source_rows,
-                           executor.ExecutePlan(*bound.source, outer));
-
-  // Visible column positions of the source plan.
-  std::vector<int> visible;
-  for (size_t i = 0; i < bound.source->schema.size(); ++i) {
-    if (!bound.source->schema.column(i).hidden) visible.push_back(static_cast<int>(i));
-  }
+  // Produce source rows (visible columns only).
+  ExecContext exec = MakeExecContext(options, IsTopLevel(depth, action));
+  Executor executor(&exec);
+  SELTRIG_ASSIGN_OR_RETURN(
+      QueryResult source, executor.ExecuteQuery(*bound.source, -1, OuterRows(action)));
 
   std::vector<Row> inserted;
-  for (Row& src : source_rows) {
+  for (Row& src : source.rows) {
     Row row(table->schema().size(), Value::Null());
     for (size_t i = 0; i < bound.column_map.size(); ++i) {
-      row[bound.column_map[i]] = std::move(src[visible[i]]);
+      row[bound.column_map[i]] = std::move(src[i]);
     }
     SELTRIG_RETURN_IF_ERROR(
         CoerceRowToSchema(table->schema(), &row, "insert into " + bound.table));
@@ -779,36 +784,20 @@ Result<StatementResult> Session::ExecuteUpdate(const ast::UpdateStatement& stmt,
   SELTRIG_ASSIGN_OR_RETURN(BoundUpdate bound, binder.BindUpdate(stmt));
   SELTRIG_ASSIGN_OR_RETURN(Table * table, db_->catalog_.GetTable(bound.table));
 
-  ExecContext ctx(&db_->catalog_, &ctx_);
-  ctx.set_batch_size(options.batch_size);
-  ctx.set_columnar(options.columnar);
-  Executor executor(&ctx);  // installs the subquery runner for predicates
-
-  // Phase 1: collect matching rows (avoids mutating while scanning).
-  std::vector<size_t> row_ids;
-  for (size_t id = 0; id < table->slot_count(); ++id) {
-    if (!table->IsLive(id)) continue;
-    const Row& row = table->GetRow(id);
-    if (bound.filter != nullptr) {
-      EvalContext ec;
-      ec.row = &row;
-      ec.exec = &ctx;
-      if (action != nullptr && action->row != nullptr) ec.outer_rows = {action->row};
-      SELTRIG_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*bound.filter, ec));
-      if (!pass) continue;
-    }
-    row_ids.push_back(id);
-  }
+  ExecContext exec = MakeExecContext(options, IsTopLevel(depth, action));
+  Executor executor(&exec);  // installs the subquery runner for predicates
+  EvalContext ec;
+  ec.exec = &exec;
+  ec.outer_rows = OuterRows(action);
+  SELTRIG_ASSIGN_OR_RETURN(std::vector<size_t> row_ids,
+                           MatchRows(*table, bound.filter.get(), ec));
 
   // Phase 2: apply assignments (all reading the OLD row, per SQL semantics).
   std::vector<Row> old_rows, new_rows;
   for (size_t id : row_ids) {
     Row old_row = table->GetRow(id);
     Row new_row = old_row;
-    EvalContext ec;
     ec.row = &old_row;
-    ec.exec = &ctx;
-    if (action != nullptr && action->row != nullptr) ec.outer_rows = {action->row};
     for (const auto& [col, expr] : bound.assignments) {
       SELTRIG_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, ec));
       new_row[col] = std::move(v);
@@ -841,25 +830,13 @@ Result<StatementResult> Session::ExecuteDelete(const ast::DeleteStatement& stmt,
   SELTRIG_ASSIGN_OR_RETURN(BoundDelete bound, binder.BindDelete(stmt));
   SELTRIG_ASSIGN_OR_RETURN(Table * table, db_->catalog_.GetTable(bound.table));
 
-  ExecContext ctx(&db_->catalog_, &ctx_);
-  ctx.set_batch_size(options.batch_size);
-  ctx.set_columnar(options.columnar);
-  Executor executor(&ctx);
-
-  std::vector<size_t> row_ids;
-  for (size_t id = 0; id < table->slot_count(); ++id) {
-    if (!table->IsLive(id)) continue;
-    const Row& row = table->GetRow(id);
-    if (bound.filter != nullptr) {
-      EvalContext ec;
-      ec.row = &row;
-      ec.exec = &ctx;
-      if (action != nullptr && action->row != nullptr) ec.outer_rows = {action->row};
-      SELTRIG_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*bound.filter, ec));
-      if (!pass) continue;
-    }
-    row_ids.push_back(id);
-  }
+  ExecContext exec = MakeExecContext(options, IsTopLevel(depth, action));
+  Executor executor(&exec);
+  EvalContext ec;
+  ec.exec = &exec;
+  ec.outer_rows = OuterRows(action);
+  SELTRIG_ASSIGN_OR_RETURN(std::vector<size_t> row_ids,
+                           MatchRows(*table, bound.filter.get(), ec));
 
   std::vector<Row> deleted;
   for (size_t id : row_ids) {
@@ -885,28 +862,22 @@ Status Session::FireDmlTriggers(const std::string& table, ast::DmlEvent event,
   std::vector<TriggerDef*> triggers = db_->triggers_.DmlTriggersFor(table, event);
   if (triggers.empty()) return Status::OK();
 
-  Result<Table*> t = db_->catalog_.GetTable(table);
-  SELTRIG_RETURN_IF_ERROR(t.status());
+  SELTRIG_ASSIGN_OR_RETURN(const Table* t, db_->catalog_.GetTable(table));
 
   // Pseudo-row schema: OLD-qualified columns, then NEW-qualified columns
   // (only the sides meaningful for the event).
   Schema row_schema;
   bool has_old = event != ast::DmlEvent::kInsert;
   bool has_new = event != ast::DmlEvent::kDelete;
-  if (has_old) {
-    for (size_t i = 0; i < (*t)->schema().size(); ++i) {
-      Column col = (*t)->schema().column(i);
-      col.qualifier = "old";
+  auto add_side = [&](const char* qualifier) {
+    for (size_t i = 0; i < t->schema().size(); ++i) {
+      Column col = t->schema().column(i);
+      col.qualifier = qualifier;
       row_schema.AddColumn(col);
     }
-  }
-  if (has_new) {
-    for (size_t i = 0; i < (*t)->schema().size(); ++i) {
-      Column col = (*t)->schema().column(i);
-      col.qualifier = "new";
-      row_schema.AddColumn(col);
-    }
-  }
+  };
+  if (has_old) add_side("old");
+  if (has_new) add_side("new");
 
   size_t count = has_old ? old_rows.size() : new_rows.size();
   for (size_t r = 0; r < count; ++r) {
@@ -927,8 +898,7 @@ Status Session::FireDmlTriggers(const std::string& table, ast::DmlEvent event,
 
 // --- DDL / control ------------------------------------------------------------
 
-Result<StatementResult> Session::ExecuteCreateTable(
-    const ast::CreateTableStatement& stmt) {
+Status Session::ExecuteCreateTable(const ast::CreateTableStatement& stmt) {
   Schema schema;
   int pk = -1;
   for (size_t i = 0; i < stmt.columns.size(); ++i) {
@@ -944,13 +914,11 @@ Result<StatementResult> Session::ExecuteCreateTable(
     col.type = def.type;
     schema.AddColumn(col);
   }
-  Result<Table*> table = db_->catalog_.CreateTable(stmt.table, std::move(schema), pk);
-  SELTRIG_RETURN_IF_ERROR(table.status());
-  return StatementResult{};
+  return db_->catalog_.CreateTable(stmt.table, std::move(schema), pk).status();
 }
 
-Result<StatementResult> Session::ExecuteAlterTable(
-    const ast::AlterTableStatement& stmt) {
+Status Session::ExecuteAlterTable(const ast::AlterTableStatement& stmt,
+                                  const ExecOptions& options, int depth) {
   AssertWriterHeld();
   using Action = ast::AlterTableStatement::Action;
   Result<Table*> found = db_->catalog_.GetTable(ToLower(stmt.table));
@@ -1002,34 +970,17 @@ Result<StatementResult> Session::ExecuteAlterTable(
                                    "' already exists");
         }
         if (a.default_value != nullptr) {
-          // DEFAULT must be a constant: bind against an empty schema and
-          // evaluate now, before any storage mutation.
-          Binder binder(&db_->catalog_);
-          Schema empty;
+          // DEFAULT must be a constant: evaluate it now, with no row in
+          // scope, before any storage mutation.
           SELTRIG_ASSIGN_OR_RETURN(
-              ExprPtr bound, binder.BindStandaloneExpr(*a.default_value, empty));
-          ExecContext ctx(&db_->catalog_, &ctx_);
-          Executor executor(&ctx);
-          EvalContext ec;
-          ec.exec = &ctx;
-          SELTRIG_ASSIGN_OR_RETURN(act.default_value, EvalExpr(*bound, ec));
-          if (!act.default_value.is_null() &&
-              act.default_value.type() != act.type) {
-            if (act.default_value.type() == TypeId::kInt &&
-                act.type == TypeId::kDouble) {
-              act.default_value =
-                  Value::Double(static_cast<double>(act.default_value.AsInt()));
-            } else if (act.default_value.type() == TypeId::kDouble &&
-                       act.type == TypeId::kInt) {
-              act.default_value =
-                  Value::Int(static_cast<int64_t>(act.default_value.AsDouble()));
-            } else {
-              return Status::ExecutionError(
-                  what + ": DEFAULT of type " +
-                  std::string(TypeName(act.default_value.type())) +
-                  " cannot initialize column '" + act.name + "' of type " +
-                  TypeName(act.type));
-            }
+              act.default_value,
+              EvalStandalone(*a.default_value, options, depth, /*action=*/nullptr));
+          Value& dv = act.default_value;
+          if (!dv.is_null() && !Coerce(dv.type(), act.type, &dv)) {
+            return Status::ExecutionError(
+                what + ": DEFAULT of type " + std::string(TypeName(dv.type())) +
+                " cannot initialize column '" + act.name + "' of type " +
+                TypeName(act.type));
           }
         }
         sim.push_back({act.name, act.type, ""});
@@ -1079,10 +1030,6 @@ Result<StatementResult> Session::ExecuteAlterTable(
   // partition key the chain drops or incompatibly retypes cannot be rebound.
   // With a live SELECT trigger the ALTER is rejected outright; without one
   // the expression and its view are cascade-dropped, never orphaned.
-  auto compatible_retype = [](TypeId from, TypeId to) {
-    return from == to || (from == TypeId::kInt && to == TypeId::kDouble) ||
-           (from == TypeId::kDouble && to == TypeId::kInt);
-  };
   std::vector<std::string> doomed;
   for (const AuditExpressionDef* def : db_->audit_.All()) {
     if (def->sensitive_table() != table_name) continue;
@@ -1095,7 +1042,7 @@ Result<StatementResult> Session::ExecuteAlterTable(
     std::string reason;
     if (survived == nullptr) {
       reason = "drops its partition key '" + def->partition_by() + "'";
-    } else if (!compatible_retype(old_type, survived->type)) {
+    } else if (!Coerce(old_type, survived->type)) {
       reason = "retypes its partition key '" + def->partition_by() + "' from " +
                std::string(TypeName(old_type)) + " to " + TypeName(survived->type);
     }
@@ -1239,11 +1186,10 @@ Result<StatementResult> Session::ExecuteAlterTable(
     // re-executes the statement and the replication applier NAKs any gap.
     wal_buffer_.push_back(WalOp::Ddl(table_name, stmt.source, new_version));
   }
-  return StatementResult{};
+  return Status::OK();
 }
 
-Result<StatementResult> Session::ExecuteCreateTrigger(
-    ast::CreateTriggerStatement& stmt) {
+Status Session::ExecuteCreateTrigger(ast::CreateTriggerStatement& stmt) {
   auto def = std::make_unique<TriggerDef>();
   def->name = ToLower(stmt.name);
   def->is_select_trigger = stmt.is_select_trigger;
@@ -1266,70 +1212,7 @@ Result<StatementResult> Session::ExecuteCreateTrigger(
   }
   def->actions = std::move(stmt.actions);
   def->definition_sql = stmt.source;
-  SELTRIG_RETURN_IF_ERROR(db_->triggers_.CreateTrigger(std::move(def)));
-  return StatementResult{};
-}
-
-Result<StatementResult> Session::ExecuteIf(ast::IfStatement& stmt,
-                                           const ExecOptions& options, int depth,
-                                           const ActionContext* action) {
-  Binder binder(&db_->catalog_);
-  ConfigureBinder(&binder, action);
-  Schema empty;
-  SELTRIG_ASSIGN_OR_RETURN(ExprPtr condition,
-                           binder.BindStandaloneExpr(*stmt.condition, empty));
-
-  ExecContext ctx(&db_->catalog_, &ctx_);
-  Executor executor(&ctx);
-  EvalContext ec;
-  ec.exec = &ctx;
-  if (action != nullptr && action->row != nullptr) ec.outer_rows = {action->row};
-  SELTRIG_ASSIGN_OR_RETURN(Value v, EvalExpr(*condition, ec));
-  bool truthy = !v.is_null() && v.type() == TypeId::kBool && v.AsBool();
-  if (truthy) {
-    // A top-level IF already holds the writer lock (taken in the dispatch),
-    // so its branch must run as a nested statement — re-locking the
-    // non-recursive mutex from the same thread would deadlock.
-    return ExecuteStatement(*stmt.then_branch, options,
-                            depth == 0 ? 1 : depth, action);
-  }
-  return StatementResult{};
-}
-
-Result<StatementResult> Session::ExecuteNotify(const ast::NotifyStatement& stmt,
-                                               const ExecOptions& options,
-                                               const ActionContext* action) {
-  (void)options;
-  Binder binder(&db_->catalog_);
-  ConfigureBinder(&binder, action);
-  Schema empty;
-  SELTRIG_ASSIGN_OR_RETURN(ExprPtr message, binder.BindStandaloneExpr(*stmt.message, empty));
-
-  ExecContext ctx(&db_->catalog_, &ctx_);
-  Executor executor(&ctx);
-  EvalContext ec;
-  ec.exec = &ctx;
-  if (action != nullptr && action->row != nullptr) ec.outer_rows = {action->row};
-  SELTRIG_ASSIGN_OR_RETURN(Value v, EvalExpr(*message, ec));
-  notifications_.push_back(v.type() == TypeId::kString ? v.AsString() : v.ToString());
-  return StatementResult{};
-}
-
-Result<StatementResult> Session::ExecuteRaise(const ast::RaiseStatement& stmt,
-                                              const ActionContext* action) {
-  Binder binder(&db_->catalog_);
-  ConfigureBinder(&binder, action);
-  Schema empty;
-  SELTRIG_ASSIGN_OR_RETURN(ExprPtr message, binder.BindStandaloneExpr(*stmt.message, empty));
-
-  ExecContext ctx(&db_->catalog_, &ctx_);
-  Executor executor(&ctx);
-  EvalContext ec;
-  ec.exec = &ctx;
-  if (action != nullptr && action->row != nullptr) ec.outer_rows = {action->row};
-  SELTRIG_ASSIGN_OR_RETURN(Value v, EvalExpr(*message, ec));
-  return Status::ExecutionError(v.type() == TypeId::kString ? v.AsString()
-                                                            : v.ToString());
+  return db_->triggers_.CreateTrigger(std::move(def));
 }
 
 }  // namespace seltrig

@@ -28,6 +28,7 @@
 #ifndef SELTRIG_ENGINE_SESSION_H_
 #define SELTRIG_ENGINE_SESSION_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -101,7 +102,8 @@ struct ExecOptions {
   bool use_bloom_filters = false;
   double bloom_fp_rate = 0.01;
   // Read at most this many result rows, then stop -- models a client that
-  // aborts after a prefix; triggers still fire (Section II).
+  // aborts after a prefix; triggers still fire (Section II). Bounds only the
+  // top-level SELECT: nested SELECTs read their whole input.
   int64_t max_rows = -1;
   // Optimizer toggles, including the audit-awareness guard (Section IV-B).
   OptimizerOptions optimizer;
@@ -122,7 +124,7 @@ struct ExecOptions {
   // all ExecStats are identical in both modes; this only changes the layout
   // data flows through.
   bool columnar = true;
-  // Worker threads for eligible scan spines of top-level SELECTs (morsel
+  // Worker threads for eligible scan spines of top-level statements (morsel
   // parallelism; see exec/gather.h). 1 = serial. Results, ACCESSED, and
   // rows_scanned are identical at every setting; nested statements (trigger
   // actions) and capped/LIMIT-audited spines always run serially.
@@ -185,6 +187,15 @@ class Session {
     const Schema* row_schema = nullptr;      // NEW/OLD columns
     const Row* row = nullptr;
   };
+  // A statement a client sent, as opposed to a trigger action or IF branch.
+  static bool IsTopLevel(int depth, const ActionContext* action) {
+    return depth == 0 && action == nullptr;
+  }
+  // The correlation stack of an action statement: its NEW/OLD pseudo-row.
+  static std::vector<const Row*> OuterRows(const ActionContext* action) {
+    if (action == nullptr || action->row == nullptr) return {};
+    return {action->row};
+  }
 
   Result<StatementResult> ExecuteStatement(ast::Statement& stmt,
                                            const ExecOptions& options, int depth,
@@ -215,13 +226,18 @@ class Session {
                                          const ExecOptions& options, bool top_level,
                                          const ActionContext* action,
                                          AccessedStateRegistry* registry);
-  // The SELECT write phase: loss accounting, SELECT-trigger firing, and the
-  // statement's journal record, in one undo scope. ExecuteSelect acquires the
-  // writer lock around it for top-level statements; nested SELECTs inherit
-  // the top-level statement's hold.
-  Status SelectWritePhase(const AccessedStateRegistry& registry,
-                          const ExecOptions& options, int depth, bool top_level,
-                          bool fire_triggers) SELTRIG_REQUIRES(engine_mutex_);
+  // Runs `body` in one undo scope and, when `journal`, appends the
+  // statement's journal record; any failure rolls the scope back. The frame
+  // of every top-level writer statement and of every SELECT's write phase.
+  Status CommitUnit(bool journal, const std::function<Status()>& body)
+      SELTRIG_REQUIRES(engine_mutex_);
+  // The executor context of every statement: all of `options`' execution
+  // settings, with num_threads forced to 1 below the top level.
+  ExecContext MakeExecContext(const ExecOptions& options, bool top_level);
+  // Binds and evaluates an expression with no row in scope (IF, NOTIFY,
+  // RAISE, ALTER ... DEFAULT); ACCESSED and NEW/OLD stay visible.
+  Result<Value> EvalStandalone(const ast::Expression& expr, const ExecOptions& options,
+                               int depth, const ActionContext* action);
   Result<StatementResult> ExecuteExplain(const ast::ExplainStatement& stmt,
                                          const ExecOptions& options,
                                          const ActionContext* action);
@@ -234,21 +250,20 @@ class Session {
   Result<StatementResult> ExecuteDelete(const ast::DeleteStatement& stmt,
                                         const ExecOptions& options, int depth,
                                         const ActionContext* action);
-  Result<StatementResult> ExecuteCreateTable(const ast::CreateTableStatement& stmt);
+  // DDL frame: runs `apply` and journals the statement's SQL. Replay needs
+  // that text, so on a journaled database DDL without it (hand-built ASTs)
+  // is rejected up front rather than leaving an unreplayable gap.
+  Result<StatementResult> ExecuteDdl(const ast::Statement& stmt,
+                                     const std::function<Status()>& apply);
+  Status ExecuteCreateTable(const ast::CreateTableStatement& stmt);
   // Online schema change (docs/SCHEMA_CHANGE.md). Runs under the writer lock
   // like all DDL; phases: metadata prevalidation + fail-closed audit policy
   // check (nothing mutated), storage apply with an inverse stack, audit
   // rebind + view rebuild, then version stamp + journal. Any failure after
   // mutation began rolls the whole chain back via the inverses.
-  Result<StatementResult> ExecuteAlterTable(const ast::AlterTableStatement& stmt);
-  Result<StatementResult> ExecuteCreateTrigger(ast::CreateTriggerStatement& stmt);
-  Result<StatementResult> ExecuteIf(ast::IfStatement& stmt, const ExecOptions& options,
-                                    int depth, const ActionContext* action);
-  Result<StatementResult> ExecuteNotify(const ast::NotifyStatement& stmt,
-                                        const ExecOptions& options,
-                                        const ActionContext* action);
-  Result<StatementResult> ExecuteRaise(const ast::RaiseStatement& stmt,
-                                       const ActionContext* action);
+  Status ExecuteAlterTable(const ast::AlterTableStatement& stmt,
+                           const ExecOptions& options, int depth);
+  Status ExecuteCreateTrigger(ast::CreateTriggerStatement& stmt);
 
   // Configures a binder with the action context (virtual tables, NEW/OLD).
   void ConfigureBinder(Binder* binder, const ActionContext* action) const;
@@ -291,19 +306,11 @@ class Session {
   void RecordAccessedOverflows(const AccessedStateRegistry& registry)
       SELTRIG_REQUIRES(engine_mutex_);
 
-  Status CoerceRowToSchema(const Schema& schema, Row* row, const std::string& what) const;
-
   // --- Journal plumbing (storage/wal.h; docs/DURABILITY.md) -----------------
   // Ops accumulate in wal_buffer_ while a top-level statement runs and are
   // appended as ONE record at commit: a statement — including every write its
   // triggers cascade into — is the unit of atomicity across crashes.
   bool WalEnabled() const;
-  // Pre-check for DDL: replay needs the statement's SQL, so DDL without
-  // source text (hand-built ASTs) is rejected up front on a journaled
-  // database rather than leaving an unreplayable gap.
-  Status CheckDdlJournalable(const ast::Statement& stmt) const;
-  // Buffers a successful DDL statement's SQL as a logical journal op.
-  void JournalDdl(const ast::Statement& stmt);
   // Appends wal_buffer_ as one commit record. Caller must hold the exclusive
   // writer lock: append order under that lock IS the commit order replay
   // reproduces. On success the buffer is cleared and wal_pending_commit_
@@ -314,7 +321,8 @@ class Session {
   // Tells the analysis the engine's exclusive writer lock is held. The seam
   // for dynamically-established holds it cannot see statically: nested
   // statements (trigger actions, IF branches, nested SELECT write phases)
-  // run under the lock taken by the top-level statement frames above.
+  // run under the lock taken by the top-level statement frames above, and
+  // commit-unit bodies are lambdas analyzed apart from their caller.
   void AssertWriterHeld() const SELTRIG_ASSERT_CAPABILITY(engine_mutex_) {}
 
   // RAII scope that attaches this session's trigger undo log to every table

@@ -11,7 +11,7 @@
 //
 // Column storage is retained across Clear()/ResetOwned() calls, so a batch
 // that is refilled every iteration reaches a steady state with zero heap
-// allocation — the same contract RowBatch (exec/row_batch.h) had.
+// allocation.
 //
 // Appending is only legal while no selection is installed: an append under a
 // selection would silently corrupt the logical view, so the producer API

@@ -296,7 +296,8 @@ Result<std::vector<Row>> Executor::ExecutePlan(
 }
 
 Result<QueryResult> Executor::ExecuteQuery(const LogicalOperator& plan,
-                                           int64_t max_rows) {
+                                           int64_t max_rows,
+                                           const std::vector<const Row*>& outer_rows) {
   // A max_rows prefix-abort stops pulling mid-stream. If an audit operator
   // would observe that pacing, pin the streaming spine to capacity 1 so
   // ACCESSED reflects exactly the tuples the row-at-a-time engine would have
@@ -308,8 +309,8 @@ Result<QueryResult> Executor::ExecuteQuery(const LogicalOperator& plan,
                     ? 1
                     : std::max<size_t>(1, static_cast<size_t>(max_rows));
   }
-  SELTRIG_ASSIGN_OR_RETURN(OperatorPtr root, BuildNode(plan, {}, spine_cap));
-  SELTRIG_RETURN_IF_ERROR(MaybeValidatePlan(*root, plan, max_rows, {}));
+  SELTRIG_ASSIGN_OR_RETURN(OperatorPtr root, BuildNode(plan, outer_rows, spine_cap));
+  SELTRIG_RETURN_IF_ERROR(MaybeValidatePlan(*root, plan, max_rows, outer_rows));
   SELTRIG_RETURN_IF_ERROR(root->Init());
   SELTRIG_RETURN_IF_ERROR(fault::Maybe(fault_points::kExecutorBatch));
 

@@ -37,11 +37,12 @@ class Executor {
   Result<std::vector<Row>> ExecutePlan(const LogicalOperator& plan,
                                        const std::vector<const Row*>& outer_rows);
 
-  // Runs a top-level query, stripping hidden columns. If `max_rows` >= 0,
-  // stops after that many rows — modeling a client that reads a result
-  // prefix and aborts (SELECT triggers still see everything that flowed
-  // through the plan up to that point).
-  Result<QueryResult> ExecuteQuery(const LogicalOperator& plan, int64_t max_rows = -1);
+  // Runs a query, stripping hidden columns. If `max_rows` >= 0, stops after
+  // that many rows — modeling a client that reads a result prefix and aborts
+  // (SELECT triggers still see everything that flowed through the plan up to
+  // that point). `outer_rows` is the correlation stack, as for ExecutePlan.
+  Result<QueryResult> ExecuteQuery(const LogicalOperator& plan, int64_t max_rows = -1,
+                                   const std::vector<const Row*>& outer_rows = {});
 
   // Builds the physical operator tree without running it (benchmarks).
   Result<OperatorPtr> Build(const LogicalOperator& node,

@@ -20,7 +20,6 @@
 
 #include "audit/accessed_state.h"
 #include "audit/audit_expression.h"
-#include "audit/audit_log.h"
 #include "audit/offline_auditor.h"
 #include "audit/placement.h"
 #include "audit/rewrite_auditor.h"
@@ -30,6 +29,7 @@
 #include "binder/binder.h"
 #include "catalog/catalog.h"
 #include "common/status.h"
+#include "engine/audit_log.h"
 #include "engine/database.h"
 #include "engine/recovery.h"
 #include "engine/session.h"

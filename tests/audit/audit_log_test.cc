@@ -1,6 +1,6 @@
 // AuditLogger: install/uninstall, disclosure reports, ranking.
 
-#include "audit/audit_log.h"
+#include "engine/audit_log.h"
 
 #include <gtest/gtest.h>
 

@@ -103,6 +103,40 @@ TEST_F(SelectTriggerTest, TriggerFiresOnPrefixAbort) {
   EXPECT_EQ(LogCount(), 1);
 }
 
+TEST_F(SelectTriggerTest, PrefixAbortDoesNotReachNestedSelects) {
+  // max_rows models the client reading a result prefix, so it bounds only
+  // the top-level SELECT. A SELECT inside a trigger action reads its whole
+  // input, and a cascaded audit over that input must see every row.
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+    CREATE TABLE visits (visitid INT PRIMARY KEY, patientid INT, note VARCHAR);
+    CREATE TABLE vlog (visitid INT);
+    INSERT INTO visits VALUES (10, 1, 'checkup'), (11, 2, 'flu shot'),
+                              (12, 3, 'x-ray');
+  )sql").ok());
+  ASSERT_TRUE(db_.Execute(
+      "CREATE AUDIT EXPRESSION audit_visits AS SELECT * FROM visits "
+      "FOR SENSITIVE TABLE visits PARTITION BY visitid").ok());
+  ASSERT_TRUE(db_.Execute(
+      "CREATE TRIGGER log_visits ON ACCESS TO audit_visits AS "
+      "INSERT INTO vlog SELECT visitid FROM accessed").ok());
+  ASSERT_TRUE(db_.Execute(
+      "CREATE TRIGGER read_visits ON ACCESS TO audit_alice AS "
+      "IF ((SELECT COUNT(*) FROM accessed) > 0) "
+      "SELECT visitid, note FROM visits").ok());
+
+  ExecOptions options;
+  options.max_rows = 1;
+  auto r = db_.ExecuteWithOptions("SELECT name FROM patients WHERE patientid = 1",
+                                  options);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->result.rows.size(), 1u);
+  auto vlog = db_.Execute("SELECT visitid FROM vlog ORDER BY visitid");
+  ASSERT_TRUE(vlog.ok());
+  ASSERT_EQ(vlog->rows.size(), 3u);
+  EXPECT_EQ(vlog->rows[0][0].AsInt(), 10);
+  EXPECT_EQ(vlog->rows[2][0].AsInt(), 12);
+}
+
 TEST_F(SelectTriggerTest, JoinActionOverAccessed) {
   // Section II-C's Log_Cancer_Dept_Accesses shape: the action joins ACCESSED
   // with another table.

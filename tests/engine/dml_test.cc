@@ -208,5 +208,82 @@ TEST_F(DmlTriggerTest, DropTriggerStopsFiring) {
   EXPECT_EQ(Count("audit_log"), 0);
 }
 
+// Statements that evaluate expressions outside a SELECT pipeline -- IF
+// conditions, NOTIFY, RAISE, ALTER ... DEFAULT -- and UPDATE/DELETE whose
+// WHERE runs subqueries share the session's executor settings with every
+// other statement. Their rows, notifications, errors and trigger effects
+// must not depend on those settings.
+std::string RunStatementScript(size_t batch_size, bool columnar) {
+  const char* const kScript[] = {
+      "CREATE TABLE emp (empid INT PRIMARY KEY, name VARCHAR, salary DOUBLE, "
+      "dept VARCHAR)",
+      "INSERT INTO emp VALUES (1, 'ann', 100.0, 'eng'), (2, 'bo', 200.0, 'eng'), "
+      "(3, 'cy', 300.0, 'hr'), (4, 'di', 400.0, 'hr'), (5, 'ed', 500.0, 'ops'), "
+      "(6, 'fi', 600.0, 'ops'), (7, 'gu', 700.0, 'eng')",
+      "CREATE TABLE depts (dept VARCHAR, budget INT)",
+      "INSERT INTO depts VALUES ('eng', 10), ('hr', 20)",
+      "CREATE TABLE vlog (op VARCHAR, empid INT, salary DOUBLE)",
+      "CREATE TRIGGER log_upd ON emp AFTER UPDATE AS "
+      "INSERT INTO vlog VALUES ('upd', new.empid, new.salary)",
+      "CREATE TRIGGER log_del ON emp AFTER DELETE AS BEGIN "
+      "INSERT INTO vlog VALUES ('del', old.empid, old.salary); "
+      "IF (old.salary > (SELECT AVG(salary) FROM emp)) NOTIFY old.name; END",
+      "IF ((SELECT COUNT(*) FROM emp WHERE dept IN (SELECT dept FROM depts)) > 3) "
+      "NOTIFY (SELECT MAX(name) FROM emp)",
+      "IF ((SELECT COUNT(*) FROM emp) > 100) NOTIFY 'never'",
+      "NOTIFY (SELECT SUM(salary) FROM emp WHERE dept = 'ops')",
+      "UPDATE emp SET salary = salary + (SELECT MAX(budget) FROM depts) "
+      "WHERE dept IN (SELECT dept FROM depts)",
+      "UPDATE emp SET salary = salary * 2 "
+      "WHERE salary > (SELECT AVG(e2.salary) FROM emp e2 WHERE e2.dept = emp.dept)",
+      "DELETE FROM emp WHERE EXISTS "
+      "(SELECT * FROM depts d WHERE d.dept = emp.dept AND d.budget > 15)",
+      "ALTER TABLE emp ADD COLUMN bonus DOUBLE DEFAULT 7",
+      "ALTER TABLE emp ADD COLUMN grade INT DEFAULT 'x'",
+      "IF ((SELECT COUNT(*) FROM vlog WHERE op = 'del') > 0) "
+      "RAISE (SELECT MIN(name) FROM emp)",
+      "RAISE (SELECT COUNT(*) FROM vlog)",
+      "SELECT * FROM emp ORDER BY empid",
+      "SELECT * FROM vlog ORDER BY op, empid",
+  };
+  Database db;
+  ExecOptions options;
+  options.batch_size = batch_size;
+  options.columnar = columnar;
+  std::string transcript;
+  for (const char* sql : kScript) {
+    Result<StatementResult> r = db.ExecuteWithOptions(sql, options);
+    transcript += std::string(sql) + "\n-> ";
+    if (!r.ok()) {
+      transcript += r.status().ToString() + "\n";
+      continue;
+    }
+    transcript += std::to_string(r->result.affected_rows) + " affected\n";
+    transcript += r->result.ToString(/*max_rows=*/100);
+  }
+  for (const std::string& n : db.notifications()) transcript += "notify: " + n + "\n";
+  return transcript;
+}
+
+TEST(StatementOptionsParityTest, StandaloneExpressionsAndDmlIgnoreLayout) {
+  const std::string baseline = RunStatementScript(/*batch_size=*/1024, /*columnar=*/true);
+  // The script exercises what it claims to: both IF arms, all three
+  // notification sources, both ALTER outcomes and both RAISEs.
+  EXPECT_NE(baseline.find("notify: gu\n"), std::string::npos) << baseline;
+  EXPECT_NE(baseline.find("notify: 1100"), std::string::npos) << baseline;
+  EXPECT_EQ(baseline.find("notify: never"), std::string::npos) << baseline;
+  EXPECT_NE(baseline.find("cannot initialize column 'grade'"), std::string::npos)
+      << baseline;
+  EXPECT_NE(baseline.find("ExecutionError: ann"), std::string::npos) << baseline;
+  EXPECT_NE(baseline.find("| bonus\n"), std::string::npos) << baseline;
+  EXPECT_NE(baseline.find("\n-> 3 affected\n"), std::string::npos) << baseline;
+  for (size_t batch_size : {size_t{1}, size_t{1024}}) {
+    for (bool columnar : {true, false}) {
+      EXPECT_EQ(RunStatementScript(batch_size, columnar), baseline)
+          << "batch_size " << batch_size << " columnar " << columnar;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace seltrig

@@ -14,10 +14,11 @@
 //     adds to the commit path (it should add nothing: elections share the
 //     wire but not the ack path).
 //
-// Writes BENCH_replication.json at the repository root (plain JSON, no
-// google-benchmark dependency: latencies here come from explicit clocks
-// around whole statements, not a tight loop) and prints the same numbers to
-// stdout.
+// Appends one JSON line per run to BENCH_replication.json at the repository
+// root — an append-only trajectory, each line stamped with the commit, build
+// type and core count (no google-benchmark dependency: latencies here come
+// from explicit clocks around whole statements, not a tight loop) — and
+// prints the same numbers to stdout.
 
 #include <algorithm>
 #include <chrono>
@@ -31,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/status.h"
 #include "engine/database.h"
 #include "replication/applier.h"
@@ -65,7 +67,6 @@ ShipperOptions BenchOptions(ReplicationAckMode mode) {
   options.ack_timeout_ms = 10000;  // never degrade mid-measurement
   options.initial_backoff_ms = 1;
   options.max_backoff_ms = 20;
-  options.poll_interval_ms = 1;
   return options;
 }
 
@@ -285,8 +286,12 @@ int Main() {
       {"elected_sync", -2},  // three-node elected cluster, sync acks
   };
 
-  std::string json = "{\n  \"benchmark\": \"replication_lag\",\n";
-  json += "  \"commits\": " + std::to_string(kCommits) + ",\n  \"cases\": [\n";
+  std::string json = "{\"bench\":\"replication_lag\",\"git_sha\":\"" +
+                     std::string(SELTRIG_GIT_SHA) + "\",\"build_type\":\"" +
+                     SELTRIG_BUILD_TYPE + "\",\"num_cpus\":" +
+                     std::to_string(std::thread::hardware_concurrency()) +
+                     ",\"commits\":" + std::to_string(kCommits) +
+                     ",\"cases\":[";
   bool first = true;
   for (const Case& c : cases) {
     Result<RunResult> r = c.mode == -2 ? RunElected(base + "_" + c.name)
@@ -299,28 +304,18 @@ int Main() {
     std::printf(
         "%-16s commit p50 %8.1f us   p95 %8.1f us   catch-up %8.2f ms\n",
         c.name, r->p50_us, r->p95_us, r->catchup_ms);
-    if (!first) json += ",\n";
+    if (!first) json += ",";
     first = false;
     char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "    {\"name\": \"%s\", \"commit_p50_us\": %.1f, "
-                  "\"commit_p95_us\": %.1f, \"catchup_ms\": %.2f}",
+                  "{\"name\":\"%s\",\"commit_p50_us\":%.1f,"
+                  "\"commit_p95_us\":%.1f,\"catchup_ms\":%.2f}",
                   c.name, r->p50_us, r->p95_us, r->catchup_ms);
     json += buf;
   }
-  json += "\n  ]\n}\n";
-
-  const std::string out_path =
-      std::string(SELTRIG_REPO_ROOT) + "/BENCH_replication.json";
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "replication_lag: cannot write %s\n",
-                 out_path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
+  json += "]}";
+  bench::AppendJsonLine(
+      std::string(SELTRIG_REPO_ROOT) + "/BENCH_replication.json", json);
   return 0;
 }
 

@@ -56,9 +56,12 @@ void LogShipper::Stop() {
     if (stopping_) return;
     stopping_ = true;
     ack_cv_.notify_all();
+    for (auto& follower : followers_) {
+      if (follower->channel != nullptr) follower->channel->Wake();
+    }
   }
-  // Sessions blocked in WaitReplicated were woken above; new statements no
-  // longer consult this shipper.
+  // Sessions blocked in WaitReplicated and shipping loops in their idle wait
+  // were woken above; new statements no longer consult this shipper.
   db_->set_replication_waiter(nullptr);
   // followers_ is append-only and frozen once stopping_ is set, so the
   // threads can be joined without holding the mutex (they take it
@@ -69,10 +72,13 @@ void LogShipper::Stop() {
 }
 
 Status LogShipper::WaitReplicated(const WalPosition& pos) {
-  if (options_.ack_mode == ReplicationAckMode::kAsync) return Status::OK();
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(options_.ack_timeout_ms);
   MutexLock lock(&mutex_);
+  // The record ending at `pos` is appended and locally durable: it ships
+  // now, in both ack modes.
+  WakeFollowersBelow(pos);
+  if (options_.ack_mode == ReplicationAckMode::kAsync) return Status::OK();
   for (;;) {
     if (stopping_) return Status::OK();
     bool all_acked = true;
@@ -115,16 +121,24 @@ std::vector<FollowerStatus> LogShipper::Followers() const {
 bool LogShipper::AllCaughtUp() const {
   const WalPosition tip = db_->wal()->current_position();
   MutexLock lock(&mutex_);
-  for (const auto& follower : followers_) {
-    if (!(tip <= follower->status.acked)) return false;
-  }
-  return true;
+  return WakeFollowersBelow(tip);
 }
 
-void LogShipper::SetConnected(Follower* follower, bool connected) {
+bool LogShipper::WakeFollowersBelow(const WalPosition& pos) const {
+  bool all_acked = true;
+  for (const auto& follower : followers_) {
+    if (pos <= follower->status.acked) continue;
+    all_acked = false;
+    if (follower->channel != nullptr) follower->channel->Wake();
+  }
+  return all_acked;
+}
+
+void LogShipper::SetChannel(Follower* follower, FrameChannel* channel) {
   MutexLock lock(&mutex_);
-  follower->status.connected = connected;
-  if (!connected) {
+  follower->channel = channel;
+  follower->status.connected = channel != nullptr;
+  if (channel == nullptr) {
     // A dead channel cannot carry acks; the follower is out of the sync
     // quorum until it reconnects and catches up.
     follower->status.degraded = true;
@@ -166,11 +180,11 @@ void LogShipper::Run(Follower* follower) {
       sleep_backoff();
       continue;
     }
-    SetConnected(follower, true);
+    SetChannel(follower, channel->get());
     backoff_ms = options_.initial_backoff_ms;
     Status served = ServeConnection(follower, channel->get());
     (*channel)->Close();
-    SetConnected(follower, false);
+    SetChannel(follower, nullptr);
     {
       MutexLock lock(&mutex_);
       ++follower->status.reconnects;
@@ -410,11 +424,18 @@ Status LogShipper::ServeConnection(Follower* follower, FrameChannel* channel) {
       last_progress = Clock::now();
     }
 
-    // 5. Nothing shipped this round: block briefly on inbound traffic so an
-    // idle shipper costs a poll, not a spin.
+    // 5. Nothing shipped this round: block on inbound traffic until the next
+    // heartbeat (or ack-staleness check) is due. channel->Wake() ends the
+    // wait early: a commit (WaitReplicated), a caller polling AllCaughtUp,
+    // Stop(). Records no commit waits on — the best-effort append after a
+    // failed statement, checkpoint rotations and seals — otherwise ship by
+    // the heartbeat.
     if (!progressed) {
+      const int64_t wait_ms =
+          std::min(options_.heartbeat_interval_ms - MsSince(last_send),
+                   options_.ack_timeout_ms + 1 - MsSince(last_progress));
       Status idle = DrainInbound(follower, channel, &reader, &have_cursor,
-                                 &verify_cursor, options_.poll_interval_ms);
+                                 &verify_cursor, std::max<int64_t>(wait_ms, 1));
       if (!idle.ok() && idle.code() != ErrorCode::kDeadlineExceeded) {
         return idle;
       }

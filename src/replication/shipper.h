@@ -9,6 +9,9 @@
 //   - a bounded in-flight window (records sent but not yet acked) as
 //     backpressure, so a slow follower never makes the shipper read
 //     unboundedly ahead;
+//   - a woken idle wait: the shipping loop sleeps until the next heartbeat
+//     is due, and a commit wakes it (WaitReplicated, after local durability)
+//     so the record ships at once instead of at the next poll;
 //   - heartbeats while idle and an ack-staleness timeout: a follower that
 //     stops acking is marked DEGRADED — excluded from synchronous ack waits
 //     — and automatically rejoins once its acks catch back up to the
@@ -63,8 +66,6 @@ struct ShipperOptions {
   int64_t initial_backoff_ms = 5;
   int64_t max_backoff_ms = 500;
   uint64_t jitter_seed = 1;
-  // Poll granularity of the shipping loop when idle.
-  int64_t poll_interval_ms = 5;
 };
 
 struct FollowerStatus {
@@ -116,8 +117,9 @@ class LogShipper : public ReplicationWaiter {
   // Idempotent; the destructor calls it.
   void Stop();
 
-  // ReplicationWaiter: called by sessions after local durability. kAsync:
-  // returns immediately. kSync: blocks until every non-degraded follower
+  // ReplicationWaiter: called by sessions after local durability. Wakes the
+  // shipping loop of every connected follower that has not acked `pos`.
+  // kAsync: then returns. kSync: blocks until every non-degraded follower
   // acked `pos`, degrading followers that keep it waiting past
   // ack_timeout_ms.
   Status WaitReplicated(const WalPosition& pos) override;
@@ -125,7 +127,10 @@ class LogShipper : public ReplicationWaiter {
   std::vector<FollowerStatus> Followers() const SELTRIG_EXCLUDES(mutex_);
 
   // True when every follower (degraded or not) has acked the primary's
-  // current end-of-journal position. Test/ops convenience.
+  // current end-of-journal position. Test/ops convenience. Like a commit, a
+  // caller polling this for catch-up wakes the shipping loop of every
+  // follower below the tip, so records no commit woke it for (appended with
+  // no replication waiter installed, or by a checkpoint) ship at once.
   bool AllCaughtUp() const SELTRIG_EXCLUDES(mutex_);
 
  private:
@@ -138,6 +143,9 @@ class LogShipper : public ReplicationWaiter {
     std::vector<WalPosition> in_flight;  // guarded by LogShipper::mutex_
     // Monotonic ms timestamp of the last (implicit) ack; -1 before any.
     int64_t last_ack_at_ms = -1;  // guarded by LogShipper::mutex_
+    // The live channel while ServeConnection runs (Run's shared_ptr owns
+    // it), so commits and Stop() can Wake its idle wait.
+    FrameChannel* channel = nullptr;  // guarded by LogShipper::mutex_
   };
 
   // The per-follower thread body: reconnect loop around ServeConnection.
@@ -162,7 +170,11 @@ class LogShipper : public ReplicationWaiter {
   Status ForceResync(Follower* follower, FrameChannel* channel,
                      WalTailReader* reader);
 
-  void SetConnected(Follower* follower, bool connected) SELTRIG_EXCLUDES(mutex_);
+  // Publishes the live channel (nullptr once it died) and the connected bit.
+  void SetChannel(Follower* follower, FrameChannel* channel) SELTRIG_EXCLUDES(mutex_);
+  // Ends the idle wait of every live shipping loop whose follower has not
+  // acked `pos`. True when every follower (degraded or not) has acked it.
+  bool WakeFollowersBelow(const WalPosition& pos) const SELTRIG_REQUIRES(mutex_);
   void NoteError(Follower* follower, const Status& error) SELTRIG_EXCLUDES(mutex_);
 
   Database* const db_;

@@ -1,6 +1,7 @@
 #include "replication/transport.h"
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -51,6 +52,9 @@ struct QueuePairState {
   std::deque<Frame> to_follower SELTRIG_GUARDED_BY(mutex);
   std::deque<Frame> to_primary SELTRIG_GUARDED_BY(mutex);
   bool closed SELTRIG_GUARDED_BY(mutex) = false;
+  // Pending FrameChannel::Wake per endpoint, consumed by that end's Receive.
+  bool primary_woken SELTRIG_GUARDED_BY(mutex) = false;
+  bool follower_woken SELTRIG_GUARDED_BY(mutex) = false;
 };
 
 class InProcessChannel : public FrameChannel {
@@ -91,30 +95,38 @@ class InProcessChannel : public FrameChannel {
     MutexLock lock(&state_->mutex);
     std::deque<Frame>& queue =
         primary_end_ ? state_->to_primary : state_->to_follower;
+    bool& woken = primary_end_ ? state_->primary_woken : state_->follower_woken;
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(timeout_ms > 0 ? timeout_ms : 0);
-    while (queue.empty()) {
+    for (;;) {
+      if (!queue.empty()) {
+        Frame frame = std::move(queue.front());
+        queue.pop_front();
+        return frame;
+      }
       if (state_->closed) {
         return Status::Unavailable("replication channel closed");
       }
-      if (timeout_ms == 0) return Status::DeadlineExceeded("no frame pending");
+      if (std::exchange(woken, false)) {
+        return Status::DeadlineExceeded("receive woken");
+      }
+      if (timeout_ms == 0 ||
+          (timeout_ms > 0 && std::chrono::steady_clock::now() >= deadline)) {
+        return Status::DeadlineExceeded("no frame within " +
+                                        std::to_string(timeout_ms) + "ms");
+      }
       if (timeout_ms > 0) {
-        if (state_->cv.wait_until(state_->mutex, deadline) ==
-            std::cv_status::timeout) {
-          if (!queue.empty()) break;
-          if (state_->closed) {
-            return Status::Unavailable("replication channel closed");
-          }
-          return Status::DeadlineExceeded("no frame within " +
-                                          std::to_string(timeout_ms) + "ms");
-        }
+        state_->cv.wait_until(state_->mutex, deadline);
       } else {
         state_->cv.wait(state_->mutex);
       }
     }
-    Frame frame = std::move(queue.front());
-    queue.pop_front();
-    return frame;
+  }
+
+  void Wake() override {
+    MutexLock lock(&state_->mutex);
+    (primary_end_ ? state_->primary_woken : state_->follower_woken) = true;
+    state_->cv.notify_all();
   }
 
   void Close() override {
@@ -137,34 +149,40 @@ std::string Errno(const std::string& what) {
   return what + ": " + std::strerror(errno);
 }
 
-// Waits for readability. OK / kDeadlineExceeded / kUnavailable.
-Status PollReadable(int fd, int64_t timeout_ms) {
-  struct pollfd pfd;
-  pfd.fd = fd;
-  pfd.events = POLLIN;
-  pfd.revents = 0;
+// Waits for `fd` to become readable. OK / kDeadlineExceeded /
+// kUnavailable. A pending wake on `wake_fd` (an eventfd; -1 for none) ends
+// the wait with kDeadlineExceeded and is consumed — unless `fd` is readable
+// too, which wins.
+Status PollReadable(int fd, int64_t timeout_ms, int wake_fd = -1) {
+  // poll ignores a negative descriptor, so the wake slot may be empty.
+  struct pollfd pfds[2] = {{fd, POLLIN, 0}, {wake_fd, POLLIN, 0}};
   int timeout = timeout_ms < 0 ? -1
                                : static_cast<int>(timeout_ms > INT32_MAX
                                                       ? INT32_MAX
                                                       : timeout_ms);
   for (;;) {
-    int rc = ::poll(&pfd, 1, timeout);
+    int rc = ::poll(pfds, 2, timeout);
     if (rc < 0) {
       if (errno == EINTR) continue;
       return Status::Unavailable(Errno("poll"));
     }
     if (rc == 0) return Status::DeadlineExceeded("socket poll timed out");
-    return Status::OK();
+    if (pfds[0].revents != 0) return Status::OK();
+    uint64_t wakes = 0;
+    ssize_t drained = ::read(wake_fd, &wakes, sizeof(wakes));
+    (void)drained;  // EAGAIN: a racing Receive consumed it; still a wake
+    return Status::DeadlineExceeded("receive woken");
   }
 }
 
 class SocketChannel : public FrameChannel {
  public:
-  explicit SocketChannel(int fd) : fd_(fd) {}
+  SocketChannel(int fd, int wake_fd) : fd_(fd), wake_fd_(wake_fd) {}
 
   ~SocketChannel() override {
     Close();
-    if (fd_ >= 0) ::close(fd_);
+    ::close(fd_);
+    ::close(wake_fd_);
   }
 
   Status Send(const Frame& frame) override {
@@ -236,7 +254,7 @@ class SocketChannel : public FrameChannel {
                                           std::to_string(timeout_ms) + "ms");
         }
       }
-      SELTRIG_RETURN_IF_ERROR(PollReadable(fd_, remaining));
+      SELTRIG_RETURN_IF_ERROR(PollReadable(fd_, remaining, wake_fd_));
       char chunk[4096];
       ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
       if (n < 0) {
@@ -250,6 +268,13 @@ class SocketChannel : public FrameChannel {
       }
       buffer_.append(chunk, static_cast<size_t>(n));
     }
+  }
+
+  void Wake() override {
+    const uint64_t one = 1;
+    // Fails only if the counter would overflow, i.e. a wake is pending.
+    ssize_t written = ::write(wake_fd_, &one, sizeof(one));
+    (void)written;
   }
 
   void Close() override {
@@ -282,12 +307,25 @@ class SocketChannel : public FrameChannel {
   }
 
   const int fd_;
+  const int wake_fd_;  // eventfd carrying Wake into Receive's poll
   std::atomic<bool> closed_{false};
   Mutex send_mutex_;
   Mutex recv_mutex_;
   std::string held_ SELTRIG_GUARDED_BY(send_mutex_);  // replication.reorder
   std::string buffer_;  // guarded by recv_mutex_ (annotation omitted: local use)
 };
+
+// Takes ownership of a connected socket and pairs it with its wake eventfd.
+Result<std::shared_ptr<FrameChannel>> MakeSocketChannel(int fd) {
+  const int wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd < 0) {
+    Status error = Status::Unavailable(Errno("eventfd"));
+    ::close(fd);
+    return error;
+  }
+  return std::static_pointer_cast<FrameChannel>(
+      std::make_shared<SocketChannel>(fd, wake_fd));
+}
 
 }  // namespace
 
@@ -337,8 +375,7 @@ Result<std::shared_ptr<FrameChannel>> LocalSocketServer::Accept(
   SELTRIG_RETURN_IF_ERROR(PollReadable(fd_, timeout_ms));
   int fd = ::accept(fd_, nullptr, nullptr);
   if (fd < 0) return Status::Unavailable(Errno("accept"));
-  return std::static_pointer_cast<FrameChannel>(
-      std::make_shared<SocketChannel>(fd));
+  return MakeSocketChannel(fd);
 }
 
 void LocalSocketServer::Close() {
@@ -365,8 +402,7 @@ Result<std::shared_ptr<FrameChannel>> ConnectLocalSocket(const std::string& path
     ::close(fd);
     return error;
   }
-  return std::static_pointer_cast<FrameChannel>(
-      std::make_shared<SocketChannel>(fd));
+  return MakeSocketChannel(fd);
 }
 
 }  // namespace seltrig

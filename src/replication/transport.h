@@ -51,6 +51,12 @@ class FrameChannel {
   // should treat the channel as dead).
   virtual Result<Frame> Receive(int64_t timeout_ms) = 0;
 
+  // Makes this endpoint's blocked or next Receive return kDeadlineExceeded
+  // at once. Sticky until one Receive consumes it; a frame already queued is
+  // returned ahead of a pending wake. Callable from any thread (the shipper's
+  // commit path uses it to end an idle wait when a record lands).
+  virtual void Wake() = 0;
+
   // Closes this endpoint; the peer's pending and future Receives return
   // kUnavailable once drained. Idempotent, callable from any thread (used to
   // unblock a Receive on another thread).

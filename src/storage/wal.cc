@@ -730,6 +730,23 @@ Status WalTailReader::ReadHeader() {
 }
 
 Status WalTailReader::Next(RecordRef* out) {
+  // A short read at the cursor is the segment's end only when a newer
+  // segment already existed BEFORE that read: the writer fsyncs a segment
+  // before it creates the next one, so a read made after sighting the newer
+  // segment sees all of this one. Judging the read made before the listing
+  // would skip a record appended, and the segment rotated, in between. So
+  // the first sighting only retries the read; a short read after it
+  // advances.
+  bool newer_seen = false;
+  auto short_read = [&](Status at_tail) -> Status {
+    if (newer_seen) {
+      newer_seen = false;
+      return AdvanceSegment();
+    }
+    if (!NewerSegmentExists()) return at_tail;
+    newer_seen = true;
+    return Status::OK();
+  };
   for (;;) {
     const std::string path = wal_dir_ + "/" + WalSegmentFileName(seq_);
     if (header_size_ == 0) {
@@ -738,11 +755,9 @@ Status WalTailReader::Next(RecordRef* out) {
         // kNotFound (segment checkpointed away) propagates: the caller must
         // catch up from a snapshot. An incomplete header only skips forward
         // when a newer segment proves this one dead.
-        if (header.code() == ErrorCode::kUnavailable && NewerSegmentExists()) {
-          SELTRIG_RETURN_IF_ERROR(AdvanceSegment());
-          continue;
-        }
-        return header;
+        if (header.code() != ErrorCode::kUnavailable) return header;
+        SELTRIG_RETURN_IF_ERROR(short_read(header));
+        continue;
       }
     }
 
@@ -750,16 +765,13 @@ Status WalTailReader::Next(RecordRef* out) {
                              ReadFileRange(path, offset_, kRecordHeaderSize));
     if (head.size() < kRecordHeaderSize) {
       // Clean end of segment, or a record header mid-append. Only a newer
-      // segment on disk proves no more records will ever land here: the
-      // writer fsyncs a segment before rotating past it, so a partial tail
-      // in a non-newest segment was never acknowledged to anyone.
-      if (NewerSegmentExists()) {
-        SELTRIG_RETURN_IF_ERROR(AdvanceSegment());
-        continue;
-      }
-      return Status::Unavailable("no complete record at " +
-                                 WalSegmentFileName(seq_) + " offset " +
-                                 std::to_string(offset_));
+      // segment on disk proves no more records will ever land here, and a
+      // partial tail in a non-newest segment was never acknowledged to
+      // anyone.
+      SELTRIG_RETURN_IF_ERROR(short_read(Status::Unavailable(
+          "no complete record at " + WalSegmentFileName(seq_) + " offset " +
+          std::to_string(offset_))));
+      continue;
     }
     size_t off = 0;
     uint32_t length = 0;
@@ -778,13 +790,10 @@ Status WalTailReader::Next(RecordRef* out) {
         ReadFileRange(path, offset_, kRecordHeaderSize + length));
     if (record.size() < kRecordHeaderSize + static_cast<size_t>(length)) {
       // Payload still landing (or a dead partial tail — same rule as above).
-      if (NewerSegmentExists()) {
-        SELTRIG_RETURN_IF_ERROR(AdvanceSegment());
-        continue;
-      }
-      return Status::Unavailable("record payload incomplete at " +
-                                 WalSegmentFileName(seq_) + " offset " +
-                                 std::to_string(offset_));
+      SELTRIG_RETURN_IF_ERROR(short_read(Status::Unavailable(
+          "record payload incomplete at " + WalSegmentFileName(seq_) +
+          " offset " + std::to_string(offset_))));
+      continue;
     }
     std::string_view payload(record.data() + kRecordHeaderSize, length);
     if (Crc32c(payload) != crc) {

@@ -331,7 +331,8 @@ class WalWriter {
 // is advanced past instead: the writer rotates only after fsyncing the whole
 // segment, so trailing bytes before an existing newer segment can only be a
 // crash remnant that recovery already chose to discard — by construction
-// never acknowledged.
+// never acknowledged. ("Not the newest" is judged by a read made after the
+// newer segment was seen, never by one made before it.)
 class WalTailReader {
  public:
   explicit WalTailReader(std::string wal_dir) : wal_dir_(std::move(wal_dir)) {}

@@ -96,7 +96,6 @@ class FaultCoverageTest : public ::testing::Test {
     options.ack_timeout_ms = 100;
     options.initial_backoff_ms = 1;
     options.max_backoff_ms = 10;
-    options.poll_interval_ms = 1;
     LogShipper shipper(db, options);
     shipper.AddFollower("f0", [raw]() -> Result<std::shared_ptr<FrameChannel>> {
       raw->Stop();

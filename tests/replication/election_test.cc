@@ -148,7 +148,6 @@ class ElectionTest : public ::testing::Test {
     options.shipper.ack_timeout_ms = 2000;
     options.shipper.initial_backoff_ms = 1;
     options.shipper.max_backoff_ms = 20;
-    options.shipper.poll_interval_ms = 1;
     return options;
   }
 
@@ -348,6 +347,14 @@ TEST_F(ElectionTest, RestartedOldLeaderRejoinsAsFollowerAndConverges) {
   ASSERT_NE(rejoined, nullptr);
   EXPECT_EQ(Projection(rejoined.get()),
             Projection(cluster_[second]->leader_database().get()));
+  // The rejoined node learns the leader's name from election heartbeats,
+  // which nothing orders before replication catch-up: wait for one.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(15);
+  while (cluster_[first]->info().leader_id != second &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
   EXPECT_EQ(cluster_[first]->info().leader_id, second);
 }
 

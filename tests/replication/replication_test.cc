@@ -137,7 +137,6 @@ class ReplicationTest : public ::testing::Test {
     options.ack_timeout_ms = 2000;
     options.initial_backoff_ms = 1;
     options.max_backoff_ms = 20;
-    options.poll_interval_ms = 1;
     return options;
   }
 
@@ -223,6 +222,40 @@ TEST_F(ReplicationTest, SyncAckCoversFollowerBeforeStatementReturns) {
         << "follower lagged a sync-acknowledged statement: " << sql;
   }
   shipper.Stop();
+  (*applier)->Stop();
+}
+
+TEST_F(ReplicationTest, SyncCommitsShipWithoutWaitingForTheIdleTimeout) {
+  std::unique_ptr<Database> db = OpenPrimary(primary_dir_);
+  ASSERT_NE(db, nullptr);
+  auto applier = ReplicaApplier::Open(follower_dir_);
+  ASSERT_TRUE(applier.ok()) << applier.status().message();
+
+  // No heartbeat and no ack-staleness check falls due during the test, so
+  // the shipping loop's idle wait ends only when a commit wakes it: a lost
+  // wake stalls that commit for the whole ack timeout.
+  ShipperOptions options = TestOptions(ReplicationAckMode::kSync);
+  options.heartbeat_interval_ms = 60'000;
+  options.ack_timeout_ms = 30'000;
+  LogShipper shipper(db.get(), options);
+  shipper.AddFollower("f0", Connect(applier->get()));
+
+  ASSERT_TRUE(db->Execute("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR)").ok());
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 50; ++i) {
+    const std::string sql =
+        "INSERT INTO t VALUES (" + std::to_string(i) + ", 'row')";
+    ASSERT_TRUE(db->Execute(sql).ok()) << sql;
+    ASSERT_FALSE(shipper.Followers()[0].degraded) << sql;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  EXPECT_GE(shipper.Followers()[0].records_acked, 50u);
+
+  // Stop wakes the idle shipping loop instead of waiting out its timeout.
+  const auto stop_start = std::chrono::steady_clock::now();
+  shipper.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start,
+            std::chrono::seconds(1));
   (*applier)->Stop();
 }
 

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -35,6 +36,44 @@ class TransportTest : public ::testing::Test {
     frame.prev_offset = offset > 0 ? offset - 1 : 0;
     frame.payload = payload;
     return frame;
+  }
+
+  // The FrameChannel::Wake contract on `receiver`, whose peer is `sender`.
+  static void ExpectWakeContract(FrameChannel* sender, FrameChannel* receiver) {
+    using Clock = std::chrono::steady_clock;
+    // A wake before a long Receive ends it at once...
+    receiver->Wake();
+    auto start = Clock::now();
+    EXPECT_EQ(receiver->Receive(10'000).status().code(),
+              ErrorCode::kDeadlineExceeded);
+    EXPECT_LT(Clock::now() - start, std::chrono::seconds(2));
+    // ...and that Receive consumed it: the next one times out normally.
+    start = Clock::now();
+    EXPECT_EQ(receiver->Receive(20).status().code(),
+              ErrorCode::kDeadlineExceeded);
+    EXPECT_GE(Clock::now() - start, std::chrono::milliseconds(10));
+
+    // A queued frame comes back ahead of a pending wake, which stays pending.
+    ASSERT_TRUE(sender->Send(RecordFrame(1, 24, "queued")).ok());
+    receiver->Wake();
+    Result<Frame> queued = receiver->Receive(1000);
+    ASSERT_TRUE(queued.ok()) << queued.status().message();
+    EXPECT_EQ(queued->payload, "queued");
+    start = Clock::now();
+    EXPECT_EQ(receiver->Receive(10'000).status().code(),
+              ErrorCode::kDeadlineExceeded);
+    EXPECT_LT(Clock::now() - start, std::chrono::seconds(2));
+
+    // A wake from another thread ends a Receive already blocked.
+    std::thread waker([receiver] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      receiver->Wake();
+    });
+    start = Clock::now();
+    EXPECT_EQ(receiver->Receive(10'000).status().code(),
+              ErrorCode::kDeadlineExceeded);
+    EXPECT_LT(Clock::now() - start, std::chrono::seconds(2));
+    waker.join();
   }
 };
 
@@ -103,6 +142,12 @@ TEST_F(TransportTest, InProcessPairCarriesFramesBothWays) {
   pair.follower_end->Close();
   EXPECT_EQ(pair.primary_end->Receive(1000).status().code(),
             ErrorCode::kUnavailable);
+}
+
+TEST_F(TransportTest, InProcessWakeEndsOneReceiveAfterQueuedFrames) {
+  ChannelPair pair = CreateInProcessChannelPair();
+  ExpectWakeContract(pair.follower_end.get(), pair.primary_end.get());
+  ExpectWakeContract(pair.primary_end.get(), pair.follower_end.get());
 }
 
 TEST_F(TransportTest, DropFaultDiscardsExactlyTheScheduledSend) {
@@ -224,6 +269,17 @@ TEST_F(SocketTransportTest, TornFaultTearsTheStreamMidFrame) {
   // successfully decoded frame.
   Result<Frame> received = (*accepted)->Receive(1000);
   EXPECT_FALSE(received.ok());
+}
+
+TEST_F(SocketTransportTest, SocketWakeEndsOneReceiveAfterQueuedFrames) {
+  auto server = LocalSocketServer::Listen(path_);
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  auto client = ConnectLocalSocket(path_);
+  ASSERT_TRUE(client.ok()) << client.status().message();
+  auto accepted = (*server)->Accept(1000);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().message();
+  ExpectWakeContract(client->get(), accepted->get());
+  ExpectWakeContract(accepted->get(), client->get());
 }
 
 TEST_F(SocketTransportTest, ConnectToMissingPathFailsCleanly) {

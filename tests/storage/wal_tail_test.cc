@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -249,6 +250,59 @@ TEST_F(WalTailTest, ConcurrentWriterAndTailReaderSeeEveryRecordOnce) {
   ASSERT_EQ(seen.size(), static_cast<size_t>(kRecords));
   for (int64_t key = 1; key <= kRecords; ++key) {
     EXPECT_EQ(seen[static_cast<size_t>(key - 1)], SampleCommit(key));
+  }
+}
+
+TEST_F(WalTailTest, RecordAppendedJustBeforeARotationIsNeverSkipped) {
+  // A reader at the clean end of a segment reads short, then lists the
+  // directory to learn whether the segment is finished. A record appended,
+  // and a rotation made, between those two steps must still be served: the
+  // newer segment proves only that the NEXT read of this one is final. The
+  // writer rotates after every commit while more spinning readers than
+  // cores tail the journal, so some reader is regularly preempted inside
+  // that window for longer than the writer's fsync.
+  constexpr int64_t kRecords = 300;
+  const unsigned readers = 2 * std::max(2u, std::thread::hardware_concurrency());
+  auto opened = WalWriter::Open(wal_dir());
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  std::unique_ptr<WalWriter> writer = std::move(*opened);
+  const uint64_t start_seq = writer->current_seq();
+
+  std::vector<std::vector<std::vector<WalOp>>> seen(readers);
+  std::vector<std::thread> tails;
+  for (unsigned r = 0; r < readers; ++r) {
+    tails.emplace_back([this, r, start_seq, &seen] {
+      WalTailReader reader(wal_dir());
+      reader.Seek(start_seq, 0);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      while (seen[r].size() < static_cast<size_t>(kRecords) &&
+             std::chrono::steady_clock::now() < deadline) {
+        WalTailReader::RecordRef ref;
+        Status s = reader.Next(&ref);
+        if (s.ok()) {
+          auto decoded = DecodeWalRecord(ref.bytes);
+          ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+          seen[r].push_back(std::move(*decoded));
+        } else {
+          ASSERT_EQ(s.code(), ErrorCode::kUnavailable) << s.message();
+        }
+      }
+    });
+  }
+  for (int64_t key = 1; key <= kRecords; ++key) {
+    ASSERT_TRUE(writer->Commit(SampleCommit(key)).ok());
+    uint64_t ignored = 0;
+    ASSERT_TRUE(writer->Rotate(&ignored).ok());
+  }
+  for (std::thread& tail : tails) tail.join();
+
+  for (unsigned r = 0; r < readers; ++r) {
+    ASSERT_EQ(seen[r].size(), static_cast<size_t>(kRecords)) << "reader " << r;
+    for (int64_t key = 1; key <= kRecords; ++key) {
+      ASSERT_EQ(seen[r][static_cast<size_t>(key - 1)], SampleCommit(key))
+          << "reader " << r << " skipped or reordered record " << key;
+    }
   }
 }
 

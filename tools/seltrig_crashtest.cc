@@ -481,7 +481,6 @@ int RunReplicationPrimary(const std::string& dir, const std::string& socket_path
   sopts.ack_timeout_ms = 200;  // one bounded stall when the follower dies
   sopts.initial_backoff_ms = 2;
   sopts.max_backoff_ms = 50;
-  sopts.poll_interval_ms = 2;
   LogShipper shipper(db.get(), sopts);
   shipper.AddFollower("f1",
                       [socket_path] { return ConnectLocalSocket(socket_path); });
@@ -951,7 +950,6 @@ int RunElectionNode(const std::vector<std::string>& ids, size_t index,
   opts.shipper.ack_timeout_ms = 400;
   opts.shipper.initial_backoff_ms = 2;
   opts.shipper.max_backoff_ms = 50;
-  opts.shipper.poll_interval_ms = 2;
 
   Result<std::unique_ptr<ElectionNode>> node = ElectionNode::Start(
       std::move(opts), std::move(*bus),

@@ -1,5 +1,10 @@
 // Micro-operation benchmarks (google-benchmark): the audit operator's
 // per-row probe, placement algorithm latency, end-to-end query paths.
+//
+// Every run appends one line to BENCH_micro_ops.json at the repository root,
+// stamped with the git sha, build type and core count, holding each
+// benchmark's time per iteration. --benchmark_out still writes
+// google-benchmark's own report wherever it points.
 
 #include <benchmark/benchmark.h>
 
@@ -7,9 +12,11 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "audit/placement.h"
+#include "bench_util.h"
 #include "engine/database.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -419,33 +426,94 @@ void BM_SelectTriggerFiring(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectTriggerFiring);
 
+// A point probe on a non-key column right after a write: one INSERT, then one
+// equality SELECT, on a table that starts at 15,000 rows (the TPC-H SF 0.01
+// orders count) with 30 rows per probed key and grows by one row per
+// iteration. Each write must leave the column's secondary index usable by
+// the next probe.
+void BM_SecondaryLookupAfterWrite(benchmark::State& state) {
+  constexpr int kRows = 15000;
+  constexpr int kGroups = 500;
+  Database db;
+  Status status =
+      db.Execute("CREATE TABLE lookup_bench (id INT PRIMARY KEY, grp INT)").status();
+  std::string insert;
+  for (int i = 0; i < kRows && status.ok(); ++i) {
+    insert += insert.empty() ? "INSERT INTO lookup_bench VALUES (" : ", (";
+    insert += std::to_string(i);
+    insert += ", ";
+    insert += std::to_string(i % kGroups);
+    insert += ")";
+    if (i % 1000 == 999) {
+      status = db.Execute(insert).status();
+      insert.clear();
+    }
+  }
+  if (!status.ok()) {
+    state.SkipWithError(status.ToString().c_str());
+    return;
+  }
+  int next = kRows;
+  for (auto _ : state) {
+    const std::string key = std::to_string(next % kGroups);
+    std::string write_sql = "INSERT INTO lookup_bench VALUES (";
+    write_sql += std::to_string(next);
+    write_sql += ", ";
+    write_sql += key;
+    write_sql += ")";
+    auto write = db.Execute(write_sql);
+    auto probe = db.Execute("SELECT id FROM lookup_bench WHERE grp = " + key);
+    if (!write.ok() || !probe.ok() || probe->rows.size() <= kRows / kGroups) {
+      state.SkipWithError("insert or probe failed");
+      return;
+    }
+    ++next;
+  }
+}
+BENCHMARK(BM_SecondaryLookupAfterWrite);
+
+// Console output as usual, plus one summary entry per run for the trajectory
+// line main() appends.
+class TrajectoryReporter : public benchmark::ConsoleReporter {
+ public:
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.error_occurred) continue;
+      const double to_ns = 1e9 / benchmark::GetTimeUnitMultiplier(run.time_unit);
+      char buf[512];
+      std::snprintf(buf, sizeof(buf),
+                    "{\"name\":\"%s\",\"iterations\":%lld,"
+                    "\"real_time_ns\":%.1f,\"cpu_time_ns\":%.1f}",
+                    run.benchmark_name().c_str(),
+                    static_cast<long long>(run.iterations),
+                    run.GetAdjustedRealTime() * to_ns,
+                    run.GetAdjustedCPUTime() * to_ns);
+      if (!entries_.empty()) entries_ += ",";
+      entries_ += buf;
+    }
+    ConsoleReporter::ReportRuns(runs);
+  }
+
+  const std::string& entries() const { return entries_; }
+
+ private:
+  std::string entries_;
+};
+
 }  // namespace
 }  // namespace seltrig
 
-// Like BENCHMARK_MAIN(), but defaulting --benchmark_out to
-// BENCH_micro_ops.json at the repository root (JSON format) so CI and local
-// runs leave a machine-readable result behind without remembering the flags.
-// Any explicit --benchmark_out on the command line wins.
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--benchmark_out", 0) == 0) has_out = true;
-  }
-  std::string out_flag, format_flag;
-  if (!has_out) {
-    out_flag =
-        std::string("--benchmark_out=") + SELTRIG_REPO_ROOT "/BENCH_micro_ops.json";
-    format_flag = "--benchmark_out_format=json";
-    args.push_back(out_flag.data());
-    args.push_back(format_flag.data());
-  }
-  int adjusted_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&adjusted_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(adjusted_argc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  seltrig::TrajectoryReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
+  seltrig::bench::AppendJsonLine(
+      std::string(SELTRIG_REPO_ROOT) + "/BENCH_micro_ops.json",
+      "{\"bench\":\"micro_ops\",\"git_sha\":\"" + std::string(SELTRIG_GIT_SHA) +
+          "\",\"build_type\":\"" + SELTRIG_BUILD_TYPE + "\",\"num_cpus\":" +
+          std::to_string(std::thread::hardware_concurrency()) +
+          ",\"benchmarks\":[" + reporter.entries() + "]}");
   return 0;
 }

@@ -183,7 +183,7 @@ Status SeqScanOp::InitImpl() {
         SELTRIG_ASSIGN_OR_RETURN(Value key, EvalExpr(*value_expr, eval_ctx_));
         index_mode_ = true;
         if (!key.is_null()) {
-          candidates_ = table_->LookupBySecondary(col, key);
+          table_->LookupBySecondary(col, key, &candidates_);
         }
       }
     }

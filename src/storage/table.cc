@@ -8,6 +8,31 @@
 
 namespace seltrig {
 
+namespace {
+
+// Sorted insert / erase of one row id in a key's id list. Ids mostly arrive
+// in ascending order (appends), so the common insert is a push_back.
+void InsertId(std::vector<size_t>* ids, size_t row_id) {
+  if (ids->empty() || ids->back() < row_id) {
+    ids->push_back(row_id);
+    return;
+  }
+  ids->insert(std::lower_bound(ids->begin(), ids->end(), row_id), row_id);
+}
+
+void EraseId(std::unordered_map<Value, std::vector<size_t>, ValueHash, ValueEq>* map,
+             const Value& key, size_t row_id) {
+  auto it = map->find(key);
+  assert(it != map->end());
+  std::vector<size_t>& ids = it->second;
+  auto pos = std::lower_bound(ids.begin(), ids.end(), row_id);
+  assert(pos != ids.end() && *pos == row_id);
+  ids.erase(pos);
+  if (ids.empty()) map->erase(it);
+}
+
+}  // namespace
+
 Table::Table(std::string name, Schema schema, int primary_key_column)
     : name_(std::move(name)), schema_(std::move(schema)), pk_col_(primary_key_column) {
   columns_.reserve(schema_.size());
@@ -59,7 +84,7 @@ Result<size_t> Table::Insert(Row row) {
   size_t row_id = slot_count_;
   AppendSlot(row);
   ++live_count_;
-  ++version_;
+  IndexAdd(row_id);
   if (pk_col_ >= 0) pk_index_[row[pk_col_]] = row_id;
   if (undo_ != nullptr) undo_->PushInsert(this, row_id);
   return row_id;
@@ -71,9 +96,9 @@ Status Table::Delete(size_t row_id) {
     return Status::ExecutionError("delete from " + name_ + ": invalid row id");
   }
   if (pk_col_ >= 0) pk_index_.erase(columns_[pk_col_].Get(row_id));
+  IndexRemove(row_id);
   deleted_[row_id] = true;
   --live_count_;
-  ++version_;
   if (undo_ != nullptr) undo_->PushDelete(this, row_id);
   return Status::OK();
 }
@@ -102,8 +127,8 @@ Status Table::Update(size_t row_id, Row new_row) {
     }
   }
   if (undo_ != nullptr) undo_->PushUpdate(this, row_id, GetRow(row_id));
+  IndexUpdate(row_id, new_row);
   WriteSlot(row_id, new_row);
-  ++version_;
   return Status::OK();
 }
 
@@ -111,6 +136,7 @@ void Table::UndoInsert(size_t row_id) {
   assert(row_id < slot_count_);
   if (!deleted_[row_id]) {
     if (pk_col_ >= 0) pk_index_.erase(columns_[pk_col_].Get(row_id));
+    IndexRemove(row_id);
     --live_count_;
   }
   if (row_id + 1 == slot_count_) {
@@ -122,7 +148,6 @@ void Table::UndoInsert(size_t row_id) {
   } else {
     deleted_[row_id] = true;  // later slots survive: tombstone instead
   }
-  ++version_;
 }
 
 void Table::UndoDelete(size_t row_id) {
@@ -130,7 +155,7 @@ void Table::UndoDelete(size_t row_id) {
   deleted_[row_id] = false;
   ++live_count_;
   if (pk_col_ >= 0) pk_index_[columns_[pk_col_].Get(row_id)] = row_id;
-  ++version_;
+  IndexAdd(row_id);
 }
 
 void Table::UndoUpdate(size_t row_id, Row old_row) {
@@ -139,8 +164,8 @@ void Table::UndoUpdate(size_t row_id, Row old_row) {
     pk_index_.erase(columns_[pk_col_].Get(row_id));
     pk_index_[old_row[pk_col_]] = row_id;
   }
+  IndexUpdate(row_id, old_row);
   WriteSlot(row_id, old_row);
-  ++version_;
 }
 
 Result<size_t> Table::LookupByPrimaryKey(const Value& key) const {
@@ -151,17 +176,40 @@ Result<size_t> Table::LookupByPrimaryKey(const Value& key) const {
   return it->second;
 }
 
-void Table::EnsureSecondaryIndex(int column) {
-  SecondaryIndex& idx = secondary_indexes_[column];
-  if (idx.built_at_version == version_ && !idx.map.empty()) return;
-  if (idx.built_at_version == version_ && version_ != 0) return;
-  idx.map.clear();
-  const TableColumn& col = columns_[column];
-  for (size_t i = 0; i < slot_count_; ++i) {
-    if (deleted_[i]) continue;
-    idx.map[col.Get(i)].push_back(i);
+const Table::SecondaryIndex& Table::EnsureSecondaryIndex(int column) {
+  auto [it, inserted] = secondary_indexes_.try_emplace(column);
+  if (inserted) {
+    const TableColumn& col = columns_[column];
+    for (size_t i = 0; i < slot_count_; ++i) {
+      if (!deleted_[i]) it->second[col.Get(i)].push_back(i);
+    }
   }
-  idx.built_at_version = version_;
+  return it->second;
+}
+
+void Table::IndexAdd(size_t row_id) {
+  MutexLock lock(&secondary_mutex_);
+  for (auto& [column, index] : secondary_indexes_) {
+    InsertId(&index[columns_[column].Get(row_id)], row_id);
+  }
+}
+
+void Table::IndexRemove(size_t row_id) {
+  MutexLock lock(&secondary_mutex_);
+  for (auto& [column, index] : secondary_indexes_) {
+    EraseId(&index, columns_[column].Get(row_id), row_id);
+  }
+}
+
+void Table::IndexUpdate(size_t row_id, const Row& new_row) {
+  MutexLock lock(&secondary_mutex_);
+  for (auto& [column, index] : secondary_indexes_) {
+    Value old_key = columns_[column].Get(row_id);
+    const Value& new_key = new_row[column];
+    if (old_key == new_key) continue;
+    EraseId(&index, old_key, row_id);
+    InsertId(&index[new_key], row_id);
+  }
 }
 
 size_t Table::ScanLiveRange(size_t* cursor, size_t end_slot, size_t max_live,
@@ -180,21 +228,22 @@ size_t Table::ScanLiveRange(size_t* cursor, size_t end_slot, size_t max_live,
   return appended;
 }
 
-const std::vector<size_t>& Table::LookupBySecondary(int column, const Value& key) {
+void Table::LookupBySecondary(int column, const Value& key,
+                              std::vector<size_t>* out) {
+  if (column == pk_col_) {
+    auto it = pk_index_.find(key);
+    if (it != pk_index_.end()) out->push_back(it->second);
+    return;
+  }
   MutexLock lock(&secondary_mutex_);
-  EnsureSecondaryIndex(column);
-  const SecondaryIndex& idx = secondary_indexes_[column];
-  auto it = idx.map.find(key);
-  if (it == idx.map.end()) return empty_result_;
-  return it->second;
+  const SecondaryIndex& index = EnsureSecondaryIndex(column);
+  auto it = index.find(key);
+  if (it != index.end()) out->insert(out->end(), it->second.begin(), it->second.end());
 }
 
-// Every schema mutation shifts or retypes column indexes, so all lazily
-// built secondary indexes (keyed by column index) are dropped and the write
-// version bumped. The writer lock excludes readers, but the guard mutex is
-// taken anyway to satisfy the static lock discipline.
+// Every schema mutation shifts or retypes column indexes, so all secondary
+// indexes (keyed by column index) are dropped; the next probe rebuilds them.
 void Table::InvalidateAfterSchemaChange() {
-  ++version_;
   MutexLock lock(&secondary_mutex_);
   secondary_indexes_.clear();
 }
@@ -296,8 +345,8 @@ void Table::Clear() {
   deleted_.clear();
   slot_count_ = 0;
   live_count_ = 0;
-  ++version_;
   pk_index_.clear();
+  MutexLock lock(&secondary_mutex_);
   secondary_indexes_.clear();
 }
 

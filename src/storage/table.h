@@ -1,5 +1,6 @@
 // In-memory columnar table with stable row ids, an optional primary-key hash
-// index, and lazily-built secondary hash indexes.
+// index, and secondary hash indexes that are built lazily and then maintained
+// by every write.
 
 #ifndef SELTRIG_STORAGE_TABLE_H_
 #define SELTRIG_STORAGE_TABLE_H_
@@ -32,7 +33,10 @@ class UndoLog;
 // column_data, lookups) may run from many sessions and parallel scan workers
 // at once; every mutation runs behind the engine's exclusive writer lock,
 // which excludes all readers. The only mutable state reachable from the read
-// path is the lazily-built secondary index, which is serialized internally.
+// path is the first, lazy build of a secondary index, which is serialized
+// internally. Once built, an index is kept exact by the writers (Insert,
+// Delete, Update and their Undo* inverses) and is only dropped by Clear and
+// the Alter* paths.
 class Table {
  public:
   // `primary_key_column` is the index of the PK column in `schema`, or -1 if
@@ -105,16 +109,18 @@ class Table {
   // Primary-key point lookup; returns the row id or NotFound.
   Result<size_t> LookupByPrimaryKey(const Value& key) const;
 
-  // Returns the live row ids whose `column` equals `key`, using (and lazily
-  // building) a secondary hash index. The index is invalidated by any write
-  // and rebuilt on demand. Safe to call from concurrent reader sessions: the
-  // lazy build is serialized; the returned reference stays valid until the
-  // next write (writes exclude readers).
-  const std::vector<size_t>& LookupBySecondary(int column, const Value& key)
+  // Appends to `out` the live row ids whose `column` equals `key`, in
+  // ascending order (the order a full scan visits them). A probe on the
+  // primary-key column is answered from the primary-key index; any other
+  // column uses a secondary hash index, built on the first probe and from
+  // then on maintained in place by every write. Safe to call from concurrent
+  // reader sessions: the lazy build is serialized.
+  void LookupBySecondary(int column, const Value& key,
+                         std::vector<size_t>* out)
       SELTRIG_EXCLUDES(secondary_mutex_);
 
-  // Drops all rows (used by tests and dbgen reloads).
-  void Clear();
+  // Drops all rows and secondary indexes (used by tests and dbgen reloads).
+  void Clear() SELTRIG_EXCLUDES(secondary_mutex_);
 
   // --- Online schema change (engine/session.cc ExecuteAlterTable) -----------
   // All Alter* mutations run behind the engine's exclusive writer lock, like
@@ -171,12 +177,21 @@ class Table {
   void UndoUpdate(size_t row_id, Row old_row);
 
  private:
-  struct SecondaryIndex {
-    uint64_t built_at_version = 0;
-    std::unordered_map<Value, std::vector<size_t>, ValueHash, ValueEq> map;
-  };
+  // Key -> ascending live row ids. Every built index is exact: writers keep
+  // it so in place, so an index is either absent (not yet probed) or valid.
+  using SecondaryIndex =
+      std::unordered_map<Value, std::vector<size_t>, ValueHash, ValueEq>;
 
-  void EnsureSecondaryIndex(int column) SELTRIG_REQUIRES(secondary_mutex_);
+  const SecondaryIndex& EnsureSecondaryIndex(int column)
+      SELTRIG_REQUIRES(secondary_mutex_);
+  // Index maintenance for one row id across every built secondary index.
+  // IndexAdd runs once the row is live with its cells written, IndexRemove
+  // while its cells are still in place; IndexUpdate runs before `new_row`
+  // overwrites the slot and moves the id only where the indexed cell changes.
+  void IndexAdd(size_t row_id) SELTRIG_EXCLUDES(secondary_mutex_);
+  void IndexRemove(size_t row_id) SELTRIG_EXCLUDES(secondary_mutex_);
+  void IndexUpdate(size_t row_id, const Row& new_row)
+      SELTRIG_EXCLUDES(secondary_mutex_);
   void InvalidateAfterSchemaChange() SELTRIG_EXCLUDES(secondary_mutex_);
   void AppendSlot(const Row& row);
   void WriteSlot(size_t row_id, const Row& row);
@@ -189,15 +204,15 @@ class Table {
   std::vector<bool> deleted_;
   size_t slot_count_ = 0;
   size_t live_count_ = 0;
-  uint64_t version_ = 0;  // bumped on every write; invalidates secondaries
   uint64_t schema_version_ = 1;  // bumped once per committed ALTER TABLE
 
   std::unordered_map<Value, size_t, ValueHash, ValueEq> pk_index_;
   // Serializes lazy secondary-index builds between concurrent readers.
+  // Writers already exclude readers; they take it, uncontended, for the
+  // static lock discipline.
   mutable Mutex secondary_mutex_;
   std::unordered_map<int, SecondaryIndex> secondary_indexes_
       SELTRIG_GUARDED_BY(secondary_mutex_);
-  std::vector<size_t> empty_result_;
   UndoLog* undo_ = nullptr;
 };
 

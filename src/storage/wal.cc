@@ -18,9 +18,14 @@ namespace {
 using codec::GetString;
 using codec::GetU32;
 using codec::GetU64;
+using codec::GetVarint;
 using codec::PutString;
 using codec::PutU32;
 using codec::PutU64;
+using codec::PutVarint;
+using codec::PutVarString;
+using codec::UnZigZag;
+using codec::ZigZag;
 
 // v2 (current): magic | u64 seq | u64 epoch. v1 (pre-replication journals):
 // magic | u64 seq, epoch reads as 0.
@@ -33,7 +38,25 @@ constexpr size_t kRecordHeaderSize = 8;      // u32 length + u32 crc
 // on read (a torn length field can otherwise claim gigabytes).
 constexpr uint32_t kMaxRecordSize = 1u << 30;
 
+// Set in a record header's length field on a compact record. Payloads never
+// exceed kMaxRecordSize (2^30), so a legacy header never has this bit set.
+constexpr uint32_t kCompactRecord = 1u << 31;
+
+// Splits a record header's length field into the payload length and the
+// compact marker; false when the length exceeds kMaxRecordSize.
+bool ParseRecordLength(uint32_t field, uint32_t* length, bool* compact) {
+  *compact = (field & kCompactRecord) != 0;
+  *length = field & ~kCompactRecord;
+  return *length <= kMaxRecordSize;
+}
+
 // --- Value / Row encoding ---------------------------------------------------
+//
+// Only compact records are written: op and value counts, string lengths,
+// INT and DATE values, failure counts and schema versions are varints
+// (zig-zag for signed values). Legacy records, written before the compact
+// format, hold counts and string lengths as u32 and those integers as u64;
+// PayloadReader decodes both.
 
 void PutValue(std::string* out, const Value& v) {
   out->push_back(static_cast<char>(v.type()));
@@ -44,10 +67,10 @@ void PutValue(std::string* out, const Value& v) {
       out->push_back(v.AsBool() ? 1 : 0);
       break;
     case TypeId::kInt:
-      PutU64(out, static_cast<uint64_t>(v.AsInt()));
+      PutVarint(out, ZigZag(v.AsInt()));
       break;
     case TypeId::kDate:
-      PutU64(out, static_cast<uint64_t>(static_cast<int64_t>(v.AsDate())));
+      PutVarint(out, ZigZag(v.AsDate()));
       break;
     case TypeId::kDouble: {
       uint64_t bits;
@@ -57,73 +80,14 @@ void PutValue(std::string* out, const Value& v) {
       break;
     }
     case TypeId::kString:
-      PutString(out, v.AsString());
+      PutVarString(out, v.AsString());
       break;
   }
 }
 
-bool GetValue(std::string_view data, size_t* offset, Value* v) {
-  if (*offset >= data.size()) return false;
-  auto type = static_cast<TypeId>(data[(*offset)++]);
-  switch (type) {
-    case TypeId::kNull:
-      *v = Value::Null();
-      return true;
-    case TypeId::kBool: {
-      if (*offset >= data.size()) return false;
-      *v = Value::Bool(data[(*offset)++] != 0);
-      return true;
-    }
-    case TypeId::kInt: {
-      uint64_t bits = 0;
-      if (!GetU64(data, offset, &bits)) return false;
-      *v = Value::Int(static_cast<int64_t>(bits));
-      return true;
-    }
-    case TypeId::kDate: {
-      uint64_t bits = 0;
-      if (!GetU64(data, offset, &bits)) return false;
-      *v = Value::Date(static_cast<int32_t>(static_cast<int64_t>(bits)));
-      return true;
-    }
-    case TypeId::kDouble: {
-      uint64_t bits = 0;
-      if (!GetU64(data, offset, &bits)) return false;
-      double d;
-      std::memcpy(&d, &bits, sizeof(d));
-      *v = Value::Double(d);
-      return true;
-    }
-    case TypeId::kString: {
-      std::string s;
-      if (!GetString(data, offset, &s)) return false;
-      *v = Value::String(std::move(s));
-      return true;
-    }
-  }
-  return false;
-}
-
 void PutRow(std::string* out, const Row& row) {
-  PutU32(out, static_cast<uint32_t>(row.size()));
+  PutVarint(out, row.size());
   for (const Value& v : row) PutValue(out, v);
-}
-
-bool GetRow(std::string_view data, size_t* offset, Row* row) {
-  uint32_t count = 0;
-  if (!GetU32(data, offset, &count)) return false;
-  // Every serialized value occupies at least one byte (its type tag), so a
-  // count beyond the remaining payload is corruption, not a row — reject it
-  // before reserve() turns a crafted count into a multi-gigabyte allocation.
-  if (count > data.size() - *offset) return false;
-  row->clear();
-  row->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    Value v;
-    if (!GetValue(data, offset, &v)) return false;
-    row->push_back(std::move(v));
-  }
-  return true;
 }
 
 void PutOp(std::string* out, const WalOp& op) {
@@ -131,89 +95,196 @@ void PutOp(std::string* out, const WalOp& op) {
   // seltrig-lint: dispatch(WalOp::Kind)
   switch (op.kind) {
     case WalOp::Kind::kInsert:
-      PutString(out, op.table);
-      PutRow(out, op.row);
-      break;
     case WalOp::Kind::kDelete:
-      PutString(out, op.table);
+      PutVarString(out, op.table);
       PutRow(out, op.row);
       break;
     case WalOp::Kind::kUpdate:
-      PutString(out, op.table);
+      PutVarString(out, op.table);
       PutRow(out, op.row);
       PutRow(out, op.row2);
       break;
     case WalOp::Kind::kStatement:
-      PutString(out, op.sql);
+      PutVarString(out, op.sql);
       break;
     case WalOp::Kind::kTriggerState:
-      PutString(out, op.table);
+      PutVarString(out, op.table);
       out->push_back(op.quarantined ? 1 : 0);
-      PutU64(out, static_cast<uint64_t>(op.failures));
+      PutVarint(out, ZigZag(op.failures));
       break;
     case WalOp::Kind::kDdl:
-      PutString(out, op.table);
-      PutString(out, op.sql);
-      PutU64(out, op.schema_version);
+      PutVarString(out, op.table);
+      PutVarString(out, op.sql);
+      PutVarint(out, op.schema_version);
       break;
   }
-}
-
-bool GetOp(std::string_view data, size_t* offset, WalOp* op) {
-  if (*offset >= data.size()) return false;
-  auto kind = static_cast<WalOp::Kind>(data[(*offset)++]);
-  op->kind = kind;
-  // seltrig-lint: dispatch(WalOp::Kind)
-  switch (kind) {
-    case WalOp::Kind::kInsert:
-    case WalOp::Kind::kDelete:
-      return GetString(data, offset, &op->table) && GetRow(data, offset, &op->row);
-    case WalOp::Kind::kUpdate:
-      return GetString(data, offset, &op->table) && GetRow(data, offset, &op->row) &&
-             GetRow(data, offset, &op->row2);
-    case WalOp::Kind::kStatement:
-      return GetString(data, offset, &op->sql);
-    case WalOp::Kind::kTriggerState: {
-      if (!GetString(data, offset, &op->table)) return false;
-      if (*offset >= data.size()) return false;
-      op->quarantined = data[(*offset)++] != 0;
-      uint64_t failures = 0;
-      if (!GetU64(data, offset, &failures)) return false;
-      op->failures = static_cast<int64_t>(failures);
-      return true;
-    }
-    case WalOp::Kind::kDdl:
-      return GetString(data, offset, &op->table) &&
-             GetString(data, offset, &op->sql) &&
-             GetU64(data, offset, &op->schema_version);
-  }
-  return false;
 }
 
 std::string EncodeRecord(const std::vector<WalOp>& ops) {
   std::string payload;
-  PutU32(&payload, static_cast<uint32_t>(ops.size()));
+  PutVarint(&payload, ops.size());
   for (const WalOp& op : ops) PutOp(&payload, op);
 
   std::string record;
   record.reserve(kRecordHeaderSize + payload.size());
-  PutU32(&record, static_cast<uint32_t>(payload.size()));
+  PutU32(&record, static_cast<uint32_t>(payload.size()) | kCompactRecord);
   PutU32(&record, Crc32c(payload));
   record.append(payload);
   return record;
 }
 
-bool DecodeRecordPayload(std::string_view payload, std::vector<WalOp>* ops) {
-  size_t offset = 0;
-  uint32_t count = 0;
-  if (!GetU32(payload, &offset, &count)) return false;
+// Bounds-checked reader over one record payload, in either format. Every
+// method returns false instead of reading past the end.
+class PayloadReader {
+ public:
+  PayloadReader(std::string_view data, bool compact) : data_(data), compact_(compact) {}
+
+  bool done() const { return offset_ == data_.size(); }
+
+  bool ReadByte(uint8_t* b) {
+    if (offset_ >= data_.size()) return false;
+    *b = static_cast<uint8_t>(data_[offset_++]);
+    return true;
+  }
+
+  // A count or string length: u32 (legacy) or varint. Every counted item
+  // (a value's type tag, a string byte) occupies at least one payload byte,
+  // so a count beyond the remaining payload is corruption, not data —
+  // rejecting it here keeps a crafted count from turning into a
+  // multi-gigabyte reserve().
+  bool ReadCount(size_t* n) {
+    uint64_t v = 0;
+    if (compact_) {
+      if (!GetVarint(data_, &offset_, &v)) return false;
+    } else {
+      uint32_t v32 = 0;
+      if (!GetU32(data_, &offset_, &v32)) return false;
+      v = v32;
+    }
+    if (v > data_.size() - offset_) return false;
+    *n = static_cast<size_t>(v);
+    return true;
+  }
+
+  bool ReadUnsigned(uint64_t* v) {
+    return compact_ ? GetVarint(data_, &offset_, v) : GetU64(data_, &offset_, v);
+  }
+
+  bool ReadSigned(int64_t* v) {
+    uint64_t bits = 0;
+    if (!ReadUnsigned(&bits)) return false;
+    *v = compact_ ? UnZigZag(bits) : static_cast<int64_t>(bits);
+    return true;
+  }
+
+  bool ReadString(std::string* s) {
+    size_t len = 0;
+    if (!ReadCount(&len)) return false;
+    s->assign(data_.data() + offset_, len);
+    offset_ += len;
+    return true;
+  }
+
+  bool ReadValue(Value* v) {
+    uint8_t tag = 0;
+    if (!ReadByte(&tag)) return false;
+    switch (static_cast<TypeId>(tag)) {
+      case TypeId::kNull:
+        *v = Value::Null();
+        return true;
+      case TypeId::kBool: {
+        uint8_t b = 0;
+        if (!ReadByte(&b)) return false;
+        *v = Value::Bool(b != 0);
+        return true;
+      }
+      case TypeId::kInt: {
+        int64_t i = 0;
+        if (!ReadSigned(&i)) return false;
+        *v = Value::Int(i);
+        return true;
+      }
+      case TypeId::kDate: {
+        int64_t days = 0;
+        if (!ReadSigned(&days)) return false;
+        *v = Value::Date(static_cast<int32_t>(days));
+        return true;
+      }
+      case TypeId::kDouble: {
+        uint64_t bits = 0;
+        if (!GetU64(data_, &offset_, &bits)) return false;
+        double d;
+        std::memcpy(&d, &bits, sizeof(d));
+        *v = Value::Double(d);
+        return true;
+      }
+      case TypeId::kString: {
+        std::string str;
+        if (!ReadString(&str)) return false;
+        *v = Value::String(std::move(str));
+        return true;
+      }
+    }
+    return false;
+  }
+
+  bool ReadRow(Row* row) {
+    size_t count = 0;
+    if (!ReadCount(&count)) return false;
+    row->clear();
+    row->reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+      Value v;
+      if (!ReadValue(&v)) return false;
+      row->push_back(std::move(v));
+    }
+    return true;
+  }
+
+  bool ReadOp(WalOp* op) {
+    uint8_t kind = 0;
+    if (!ReadByte(&kind)) return false;
+    op->kind = static_cast<WalOp::Kind>(kind);
+    // seltrig-lint: dispatch(WalOp::Kind)
+    switch (op->kind) {
+      case WalOp::Kind::kInsert:
+      case WalOp::Kind::kDelete:
+        return ReadString(&op->table) && ReadRow(&op->row);
+      case WalOp::Kind::kUpdate:
+        return ReadString(&op->table) && ReadRow(&op->row) && ReadRow(&op->row2);
+      case WalOp::Kind::kStatement:
+        return ReadString(&op->sql);
+      case WalOp::Kind::kTriggerState: {
+        uint8_t quarantined = 0;
+        if (!ReadString(&op->table) || !ReadByte(&quarantined)) return false;
+        op->quarantined = quarantined != 0;
+        return ReadSigned(&op->failures);
+      }
+      case WalOp::Kind::kDdl:
+        return ReadString(&op->table) && ReadString(&op->sql) &&
+               ReadUnsigned(&op->schema_version);
+    }
+    return false;
+  }
+
+ private:
+  std::string_view data_;
+  size_t offset_ = 0;
+  bool compact_;
+};
+
+bool DecodeRecordPayload(std::string_view payload, bool compact,
+                         std::vector<WalOp>* ops) {
+  PayloadReader reader(payload, compact);
+  size_t count = 0;
+  if (!reader.ReadCount(&count)) return false;
   ops->clear();
-  for (uint32_t i = 0; i < count; ++i) {
+  for (size_t i = 0; i < count; ++i) {
     WalOp op;
-    if (!GetOp(payload, &offset, &op)) return false;
+    if (!reader.ReadOp(&op)) return false;
     ops->push_back(std::move(op));
   }
-  return offset == payload.size();
+  return reader.done();
 }
 
 }  // namespace
@@ -297,10 +368,12 @@ std::string WalSegmentHeader(uint64_t seq, uint64_t epoch) {
 
 Result<std::vector<WalOp>> DecodeWalRecord(std::string_view record) {
   size_t offset = 0;
+  uint32_t field = 0;
   uint32_t length = 0;
+  bool compact = false;
   uint32_t crc = 0;
-  if (!GetU32(record, &offset, &length) || !GetU32(record, &offset, &crc) ||
-      length > kMaxRecordSize ||
+  if (!GetU32(record, &offset, &field) || !GetU32(record, &offset, &crc) ||
+      !ParseRecordLength(field, &length, &compact) ||
       record.size() != kRecordHeaderSize + static_cast<size_t>(length)) {
     return Status::DataLoss("malformed journal record framing");
   }
@@ -309,7 +382,7 @@ Result<std::vector<WalOp>> DecodeWalRecord(std::string_view record) {
     return Status::DataLoss("journal record checksum mismatch");
   }
   std::vector<WalOp> ops;
-  if (!DecodeRecordPayload(payload, &ops)) {
+  if (!DecodeRecordPayload(payload, compact, &ops)) {
     return Status::DataLoss("journal record payload does not decode");
   }
   return ops;
@@ -452,10 +525,13 @@ Result<WalSegmentContents> ReadWalSegment(const std::string& path) {
 
   while (offset < data.size()) {
     size_t record_start = offset;
+    uint32_t field = 0;
     uint32_t length = 0;
+    bool compact = false;
     uint32_t crc = 0;
-    if (!GetU32(data, &offset, &length) || !GetU32(data, &offset, &crc) ||
-        length > kMaxRecordSize || offset + length > data.size()) {
+    if (!GetU32(data, &offset, &field) || !GetU32(data, &offset, &crc) ||
+        !ParseRecordLength(field, &length, &compact) ||
+        offset + length > data.size()) {
       contents.torn = true;
       break;
     }
@@ -465,7 +541,7 @@ Result<WalSegmentContents> ReadWalSegment(const std::string& path) {
       break;
     }
     std::vector<WalOp> ops;
-    if (!DecodeRecordPayload(payload, &ops)) {
+    if (!DecodeRecordPayload(payload, compact, &ops)) {
       contents.torn = true;
       break;
     }
@@ -774,11 +850,13 @@ Status WalTailReader::Next(RecordRef* out) {
       continue;
     }
     size_t off = 0;
+    uint32_t field = 0;
     uint32_t length = 0;
+    bool compact = false;
     uint32_t crc = 0;
-    GetU32(head, &off, &length);
+    GetU32(head, &off, &field);
     GetU32(head, &off, &crc);
-    if (length > kMaxRecordSize) {
+    if (!ParseRecordLength(field, &length, &compact)) {
       return Status::DataLoss(WalSegmentFileName(seq_) + " offset " +
                               std::to_string(offset_) +
                               ": record length " + std::to_string(length) +

@@ -10,11 +10,14 @@
 //
 // Segment format (dir/wal-<seq, 8 digits>.log):
 //   header:  "SLTWAL2\n" (8 bytes) | segment seq (u64 LE) | epoch (u64 LE)
-//   record:  payload length (u32 LE) | CRC32C(payload) (u32 LE) | payload
-//   payload: op count (u32 LE) | ops (see WalOp encoding in wal.cc)
-// Integers are little-endian; strings are u32-length-prefixed bytes. The
-// reader still accepts the epoch-less v1 header ("SLTWAL1\n" | seq) from
-// pre-replication journals and reports epoch 0 for it.
+//   record:  payload length (u32 LE, top bit set) | CRC32C(payload) (u32 LE)
+//            | payload
+//   payload: op count (varint) | ops (see WalOp encoding in wal.cc)
+// Counts, string lengths and integer values are LEB128 varints (zig-zag for
+// signed values); doubles are 8 bytes little-endian. Readers also accept
+// legacy records (top bit of the length clear: u32 counts and string
+// lengths, u64 integers) and the epoch-less v1 header ("SLTWAL1\n" | seq)
+// from pre-replication journals, which reports epoch 0.
 //
 // Epochs (docs/REPLICATION.md): the epoch counts failover promotions. A
 // primary writes every segment under its current epoch; when a follower is

@@ -208,6 +208,32 @@ TEST_F(DmlTriggerTest, DropTriggerStopsFiring) {
   EXPECT_EQ(Count("audit_log"), 0);
 }
 
+TEST_F(DmlTriggerTest, FailedTriggerUpdateOfIndexedColumnRollsBackIndex) {
+  // The dept probe builds a secondary index; the trigger moves a row to a
+  // new dept and then fails, so the rollback must move the index entry back.
+  auto ids = [&](const std::string& dept) {
+    auto r = db_.Execute("SELECT empid FROM emp WHERE dept = '" + dept + "'");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<int64_t> out;
+    for (const Row& row : r->rows) out.push_back(row[0].AsInt());
+    return out;
+  };
+  ASSERT_EQ(ids("eng"), (std::vector<int64_t>{1, 2}));
+  ASSERT_TRUE(ids("ops").empty());
+  ASSERT_TRUE(db_.Execute(
+      "CREATE TRIGGER t_move ON audit_log AFTER INSERT AS BEGIN "
+      "UPDATE emp SET dept = 'ops' WHERE empid = new.empid; "
+      "RAISE 'denied'; END").ok());
+  EXPECT_FALSE(db_.Execute("INSERT INTO audit_log VALUES ('x', 1, NULL, NULL)").ok());
+  EXPECT_EQ(ids("eng"), (std::vector<int64_t>{1, 2}));
+  EXPECT_TRUE(ids("ops").empty());
+  EXPECT_EQ(Count("audit_log"), 0);
+  // A committed move is visible through the same maintained index.
+  ASSERT_TRUE(db_.Execute("UPDATE emp SET dept = 'ops' WHERE empid = 2").ok());
+  EXPECT_EQ(ids("eng"), (std::vector<int64_t>{1}));
+  EXPECT_EQ(ids("ops"), (std::vector<int64_t>{2}));
+}
+
 // Statements that evaluate expressions outside a SELECT pipeline -- IF
 // conditions, NOTIFY, RAISE, ALTER ... DEFAULT -- and UPDATE/DELETE whose
 // WHERE runs subqueries share the session's executor settings with every

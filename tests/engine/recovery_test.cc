@@ -16,6 +16,7 @@
 #include "engine/snapshot.h"
 #include "storage/wal.h"
 #include "tpch/dbgen.h"
+#include "../storage/legacy_wal_record.h"
 
 namespace seltrig {
 namespace {
@@ -105,6 +106,55 @@ TEST_F(RecoveryTest, CommittedStatementsAndPolicySurviveReopen) {
 
   // The policy was re-armed, not just the data: a fresh audited SELECT fires
   // the recovered trigger and appends a second audit-log row.
+  ASSERT_TRUE(db->Execute("SELECT name FROM patients WHERE patientid = 1").ok());
+  EXPECT_EQ(Count(db, "log"), 2);
+}
+
+TEST_F(RecoveryTest, JournalOfLegacyRecordsStillRecovers) {
+  // A journal written before compact records existed: write one with this
+  // build, re-encode every record in the legacy format, then recover it.
+  {
+    std::unique_ptr<Database> db = OpenDurable();
+    ASSERT_NE(db, nullptr);
+    SetUpAuditedSchema(db.get());
+    ASSERT_TRUE(db->Execute("SELECT name FROM patients WHERE patientid = 1").ok());
+    ASSERT_TRUE(db->Execute("INSERT INTO patients VALUES (-7, '', 'x')").ok());
+    ASSERT_TRUE(db->Execute("UPDATE patients SET diagnosis = 'measles' "
+                            "WHERE patientid = 2").ok());
+  }
+  Result<std::vector<WalSegment>> segments = ListWalSegments(dir_ + "/wal");
+  ASSERT_TRUE(segments.ok());
+  uint64_t legacy_commits = 0;
+  for (const WalSegment& segment : *segments) {
+    Result<WalSegmentContents> contents = ReadWalSegment(segment.path);
+    ASSERT_TRUE(contents.ok());
+    ASSERT_FALSE(contents->torn);
+    std::string file = WalSegmentHeader(contents->seq, contents->epoch);
+    for (const std::vector<WalOp>& commit : contents->commits) {
+      file += legacy_wal::EncodeRecord(commit);
+      ++legacy_commits;
+    }
+    std::ofstream(segment.path, std::ios::binary | std::ios::trunc)
+        .write(file.data(), static_cast<std::streamsize>(file.size()));
+  }
+
+  RecoveryStats stats;
+  Result<std::unique_ptr<Database>> reopened = Database::Recover(dir_, &stats);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  Database* db = reopened->get();
+  EXPECT_EQ(stats.commits_replayed, legacy_commits);
+  EXPECT_FALSE(stats.truncated_torn_tail);
+  EXPECT_EQ(Count(db, "patients"), 3);
+  EXPECT_EQ(Count(db, "log"), 1);
+  auto diag = db->Execute("SELECT diagnosis FROM patients WHERE patientid = 2");
+  ASSERT_TRUE(diag.ok());
+  EXPECT_EQ(diag->rows[0][0].AsString(), "measles");
+  auto negative = db->Execute("SELECT name FROM patients WHERE patientid = -7");
+  ASSERT_TRUE(negative.ok());
+  ASSERT_EQ(negative->rows.size(), 1u);
+  EXPECT_EQ(negative->rows[0][0].AsString(), "");
+  // The trigger was re-armed from the legacy journal, and new commits append
+  // compact records behind the legacy ones.
   ASSERT_TRUE(db->Execute("SELECT name FROM patients WHERE patientid = 1").ok());
   EXPECT_EQ(Count(db, "log"), 2);
 }

@@ -11,8 +11,10 @@
 #include <vector>
 
 #include "common/checksum.h"
+#include "common/codec.h"
 #include "common/fault_injector.h"
 #include "common/file_util.h"
+#include "legacy_wal_record.h"
 #include "types/value.h"
 
 namespace seltrig {
@@ -33,6 +35,21 @@ class WalTest : public ::testing::Test {
   }
 
   std::string wal_dir() const { return (dir_ / "wal").string(); }
+
+  // The record a WalWriter frames for `ops`, read back from a scratch journal.
+  std::string WrittenRecord(const std::vector<WalOp>& ops) {
+    const std::string scratch = (dir_ / "encode").string();
+    std::filesystem::remove_all(scratch);
+    auto opened = WalWriter::Open(scratch);
+    EXPECT_TRUE(opened.ok()) << opened.status().message();
+    std::unique_ptr<WalWriter> writer = std::move(*opened);
+    const std::string path = scratch + "/" + WalSegmentFileName(writer->current_seq());
+    EXPECT_TRUE(writer->Commit(ops).ok());
+    writer.reset();
+    std::string record = ReadFileToString(path)->substr(kWalSegmentHeaderSize);
+    std::filesystem::remove_all(scratch);
+    return record;
+  }
 
   static std::vector<WalOp> SampleCommit(int64_t key) {
     return {
@@ -287,6 +304,175 @@ TEST_F(WalTest, OverlongRowCountReadsAsCorruptionNotAllocation) {
   ASSERT_TRUE(contents.ok()) << contents.status().message();
   EXPECT_TRUE(contents->torn);
   EXPECT_TRUE(contents->commits.empty());
+}
+
+// Values at the edges of every varint width: INT64 extremes, negative and
+// extreme dates, empty strings and strings whose length needs a two- or
+// three-byte varint.
+std::vector<WalOp> EdgeValueCommit() {
+  const std::string s128(128, 'a');
+  const std::string s20k(20000, 'b');
+  return {
+      WalOp::Insert("edge", {Value::Int(INT64_MIN), Value::Int(INT64_MAX),
+                             Value::Int(0), Value::Int(-1), Value::Int(63),
+                             Value::Int(-64), Value::Int(64)}),
+      WalOp::Insert("edge", {Value::Date(-719528), Value::Date(INT32_MIN),
+                             Value::Date(INT32_MAX), Value::Date(0)}),
+      WalOp::Update("edge", {Value::String(""), Value::String(std::string(127, 'c'))},
+                    {Value::String(s128), Value::String(s20k)}),
+      WalOp::Delete("", {Value::Double(-0.0), Value::Double(1e308), Value::Bool(true),
+                         Value::Bool(false), Value::Null()}),
+      WalOp::Statement(""),
+      WalOp::TriggerState("trig", false, -5),
+      WalOp::TriggerState("trig", true, INT64_MAX),
+      WalOp::Ddl("edge", "ALTER TABLE edge ADD COLUMN x INT", UINT64_MAX),
+  };
+}
+
+// Writes `records` (already framed) into a v2 segment file.
+void WriteSegment(const std::string& path, const std::vector<std::string>& records) {
+  std::string file = WalSegmentHeader(1, 0);
+  for (const std::string& r : records) file += r;
+  std::ofstream(path, std::ios::binary)
+      .write(file.data(), static_cast<std::streamsize>(file.size()));
+}
+
+// Frames a payload as a compact record: length with the top bit set, CRC.
+std::string CompactRecord(const std::string& payload) {
+  std::string record;
+  codec::PutU32(&record, static_cast<uint32_t>(payload.size()) | (1u << 31));
+  codec::PutU32(&record, Crc32c(payload));
+  return record + payload;
+}
+
+TEST_F(WalTest, CompactRecordsRoundTripEdgeValues) {
+  auto opened = WalWriter::Open(wal_dir());
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const std::string path = wal_dir() + "/" + WalSegmentFileName((*opened)->current_seq());
+  ASSERT_TRUE((*opened)->Commit(EdgeValueCommit()).ok());
+  opened->reset();
+
+  const std::string file = *ReadFileToString(path);
+  size_t offset = kWalSegmentHeaderSize;
+  uint32_t length_field = 0;
+  ASSERT_TRUE(codec::GetU32(file, &offset, &length_field));
+  EXPECT_NE(length_field & (1u << 31), 0u) << "written records are compact";
+
+  WalSegmentContents contents = *ReadWalSegment(path);
+  EXPECT_FALSE(contents.torn);
+  ASSERT_EQ(contents.commits.size(), 1u);
+  EXPECT_EQ(contents.commits[0], EdgeValueCommit());
+  Result<std::vector<WalOp>> decoded =
+      DecodeWalRecord(std::string_view(file).substr(kWalSegmentHeaderSize));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_EQ(*decoded, EdgeValueCommit());
+}
+
+TEST_F(WalTest, CompactRecordIsSmallerThanLegacy) {
+  EXPECT_LT(WrittenRecord(SampleCommit(7)).size(),
+            legacy_wal::EncodeRecord(SampleCommit(7)).size());
+}
+
+TEST_F(WalTest, LegacyRecordsStillReplayBesideCompactOnes) {
+  // A segment begun by an older build (legacy records) and continued by this
+  // one (compact records): every reader decodes both, in order.
+  std::filesystem::create_directories(wal_dir());
+  const std::string path = wal_dir() + "/" + WalSegmentFileName(1);
+  WriteSegment(path, {legacy_wal::EncodeRecord(SampleCommit(1)),
+                      legacy_wal::EncodeRecord(EdgeValueCommit()),
+                      WrittenRecord(SampleCommit(2))});
+
+  WalSegmentContents contents = *ReadWalSegment(path);
+  EXPECT_FALSE(contents.torn);
+  ASSERT_EQ(contents.commits.size(), 3u);
+  EXPECT_EQ(contents.commits[0], SampleCommit(1));
+  EXPECT_EQ(contents.commits[1], EdgeValueCommit());
+  EXPECT_EQ(contents.commits[2], SampleCommit(2));
+
+  WalTailReader reader(wal_dir());
+  reader.Seek(1, 0);
+  for (const std::vector<WalOp>& expected :
+       {SampleCommit(1), EdgeValueCommit(), SampleCommit(2)}) {
+    WalTailReader::RecordRef ref;
+    ASSERT_TRUE(reader.Next(&ref).ok());
+    Result<std::vector<WalOp>> decoded = DecodeWalRecord(ref.bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    EXPECT_EQ(*decoded, expected);
+  }
+}
+
+TEST_F(WalTest, TruncatedOrOverlongVarintsReadAsTorn) {
+  std::filesystem::create_directories(wal_dir());
+  const std::string path = wal_dir() + "/" + WalSegmentFileName(1);
+  // One insert into "t" whose single INT value is the varint under test.
+  auto insert_with_int = [](const std::string& varint) {
+    std::string payload;
+    payload.push_back(1);  // one op
+    payload.push_back(1);  // WalOp::Kind::kInsert
+    payload.push_back(1);  // table name length
+    payload.push_back('t');
+    payload.push_back(1);  // one value
+    payload.push_back(static_cast<char>(TypeId::kInt));
+    return payload + varint;
+  };
+  const std::string good = insert_with_int(std::string("\x7f", 1));
+  const std::vector<std::string> bad = {
+      insert_with_int(std::string("\xff", 1)),             // truncated
+      insert_with_int(std::string(10, '\xff') + '\x01'),  // an 11th byte
+      insert_with_int(std::string(9, '\xff') + '\x02'),   // a 65th bit
+      insert_with_int(std::string("\x81\x00", 2)),        // zero padding
+      std::string("\x80", 1),                             // truncated op count
+  };
+  for (const std::string& payload : bad) {
+    SCOPED_TRACE(::testing::PrintToString(payload));
+    WriteSegment(path, {CompactRecord(good), CompactRecord(payload)});
+    WalSegmentContents contents = *ReadWalSegment(path);
+    EXPECT_TRUE(contents.torn);
+    EXPECT_EQ(contents.commits.size(), 1u);
+    EXPECT_EQ(DecodeWalRecord(CompactRecord(payload)).status().code(),
+              ErrorCode::kDataLoss);
+  }
+  EXPECT_TRUE(DecodeWalRecord(CompactRecord(good)).ok());
+}
+
+TEST_F(WalTest, AbsurdVarintRowCountReadsAsCorruptionNotAllocation) {
+  // The compact twin of the legacy overlong-row-count test: a CRC-valid
+  // record claims 2^40 values in a row, and must be rejected before reserve().
+  std::filesystem::create_directories(wal_dir());
+  const std::string path = wal_dir() + "/" + WalSegmentFileName(1);
+  std::string payload;
+  payload.push_back(1);  // one op
+  payload.push_back(1);  // WalOp::Kind::kInsert
+  payload.push_back(1);  // table name length
+  payload.push_back('t');
+  codec::PutVarint(&payload, uint64_t{1} << 40);
+  WriteSegment(path, {CompactRecord(payload)});
+
+  Result<WalSegmentContents> contents = ReadWalSegment(path);
+  ASSERT_TRUE(contents.ok()) << contents.status().message();
+  EXPECT_TRUE(contents->torn);
+  EXPECT_TRUE(contents->commits.empty());
+}
+
+TEST(CodecTest, VarintsRoundTripAtEveryWidth) {
+  for (uint64_t v : {uint64_t{0}, uint64_t{1}, uint64_t{127}, uint64_t{128},
+                     uint64_t{16383}, uint64_t{16384}, uint64_t{1} << 35,
+                     UINT64_MAX - 1, UINT64_MAX}) {
+    std::string out;
+    codec::PutVarint(&out, v);
+    size_t offset = 0;
+    uint64_t back = 0;
+    ASSERT_TRUE(codec::GetVarint(out, &offset, &back)) << v;
+    EXPECT_EQ(back, v);
+    EXPECT_EQ(offset, out.size());
+  }
+  EXPECT_EQ(codec::ZigZag(0), 0u);
+  EXPECT_EQ(codec::ZigZag(-1), 1u);
+  EXPECT_EQ(codec::ZigZag(1), 2u);
+  EXPECT_EQ(codec::ZigZag(INT64_MIN), UINT64_MAX);
+  for (int64_t v : {int64_t{0}, int64_t{-1}, int64_t{1}, INT64_MIN, INT64_MAX}) {
+    EXPECT_EQ(codec::UnZigZag(codec::ZigZag(v)), v);
+  }
 }
 
 TEST_F(WalTest, BatchThresholdFsyncRunsInWaitDurableNotAppend) {

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "types/date.h"
 
@@ -97,13 +98,18 @@ std::function<void()> QueryRunner(Database* db, const std::string& sql,
   };
 }
 
-void AppendJsonLine(const std::string& path, const std::string& json) {
+void AppendJsonLine(const std::string& path, const std::string& bench,
+                    const std::string& fields) {
   std::FILE* f = std::fopen(path.c_str(), "a");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot append to %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "%s\n", json.c_str());
+  std::fprintf(f,
+               "{\"bench\":\"%s\",\"git_sha\":\"%s\",\"build_type\":\"%s\","
+               "\"num_cpus\":%u,%s}\n",
+               bench.c_str(), SELTRIG_GIT_SHA, SELTRIG_BUILD_TYPE,
+               std::thread::hardware_concurrency(), fields.c_str());
   std::fclose(f);
   std::printf("# appended result line to %s\n", path.c_str());
 }

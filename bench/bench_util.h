@@ -47,10 +47,13 @@ std::function<void()> QueryRunner(Database* db, const std::string& sql,
 std::function<void()> QueryRunner(Database* db, const std::string& sql,
                                   const ExecOptions& options);
 
-// Appends `json` (one serialized object) as a single line to `path`. The
-// committed BENCH_*.json files at the repo root are append-only trajectories:
-// one line per recorded run, so future revisions can see the perf curve.
-void AppendJsonLine(const std::string& path, const std::string& json);
+// Appends one run to `path` as a single JSON object line:
+//   {"bench":BENCH,"git_sha":...,"build_type":...,"num_cpus":N,FIELDS}
+// where `fields` is the run's own comma-separated members. The committed
+// BENCH_*.json files at the repo root are append-only trajectories: one
+// stamped line per recorded run, so future revisions can see the perf curve.
+void AppendJsonLine(const std::string& path, const std::string& bench,
+                    const std::string& fields);
 
 // Runs `sql` instrumented with `heuristic` for all registered audit
 // expressions and returns the audited ID count for `audit_name`.

@@ -43,7 +43,7 @@ int Main() {
               reps);
   PrintTableHeader({"query", "layout", "base ms", "hcn ms", "overhead"});
 
-  std::string json = "{\"bench\":\"fig10_complex_overheads\",\"sf\":" +
+  std::string json = "\"sf\":" +
                      FormatDouble(sf, 3) + ",\"reps\":" + std::to_string(reps) +
                      ",\"threads\":1,\"queries\":[";
   bool first = true;
@@ -69,8 +69,9 @@ int Main() {
     }
     json += "}";
   }
-  json += "]}";
-  AppendJsonLine(SELTRIG_REPO_ROOT "/BENCH_fig10.json", json);
+  json += "]";
+  AppendJsonLine(SELTRIG_REPO_ROOT "/BENCH_fig10.json",
+                 "fig10_complex_overheads", json);
   return 0;
 }
 

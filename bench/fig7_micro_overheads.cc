@@ -48,7 +48,7 @@ int Main() {
     return 1;
   }
 
-  std::string json = "{\"bench\":\"fig7_micro_overheads\",\"sf\":" +
+  std::string json = "\"sf\":" +
                      FormatDouble(sf, 3) + ",\"reps\":" + std::to_string(reps) +
                      ",\"batch_size\":1024,\"threads\":1";
 
@@ -120,8 +120,9 @@ int Main() {
     }
     json += "}";
   }
-  json += "]}";
-  AppendJsonLine(SELTRIG_REPO_ROOT "/BENCH_fig7.json", json);
+  json += "]";
+  AppendJsonLine(SELTRIG_REPO_ROOT "/BENCH_fig7.json", "fig7_micro_overheads",
+                 json);
   return 0;
 }
 

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "audit/placement.h"
@@ -509,11 +508,10 @@ int main(int argc, char** argv) {
   seltrig::TrajectoryReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
+  // Listing, or a filter that matched nothing, leaves the trajectory alone.
+  if (reporter.entries().empty()) return 0;
   seltrig::bench::AppendJsonLine(
-      std::string(SELTRIG_REPO_ROOT) + "/BENCH_micro_ops.json",
-      "{\"bench\":\"micro_ops\",\"git_sha\":\"" + std::string(SELTRIG_GIT_SHA) +
-          "\",\"build_type\":\"" + SELTRIG_BUILD_TYPE + "\",\"num_cpus\":" +
-          std::to_string(std::thread::hardware_concurrency()) +
-          ",\"benchmarks\":[" + reporter.entries() + "]}");
+      std::string(SELTRIG_REPO_ROOT) + "/BENCH_micro_ops.json", "micro_ops",
+      "\"benchmarks\":[" + reporter.entries() + "]");
   return 0;
 }

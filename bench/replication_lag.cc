@@ -286,12 +286,8 @@ int Main() {
       {"elected_sync", -2},  // three-node elected cluster, sync acks
   };
 
-  std::string json = "{\"bench\":\"replication_lag\",\"git_sha\":\"" +
-                     std::string(SELTRIG_GIT_SHA) + "\",\"build_type\":\"" +
-                     SELTRIG_BUILD_TYPE + "\",\"num_cpus\":" +
-                     std::to_string(std::thread::hardware_concurrency()) +
-                     ",\"commits\":" + std::to_string(kCommits) +
-                     ",\"cases\":[";
+  std::string json =
+      "\"commits\":" + std::to_string(kCommits) + ",\"cases\":[";
   bool first = true;
   for (const Case& c : cases) {
     Result<RunResult> r = c.mode == -2 ? RunElected(base + "_" + c.name)
@@ -313,9 +309,10 @@ int Main() {
                   c.name, r->p50_us, r->p95_us, r->catchup_ms);
     json += buf;
   }
-  json += "]}";
+  json += "]";
   bench::AppendJsonLine(
-      std::string(SELTRIG_REPO_ROOT) + "/BENCH_replication.json", json);
+      std::string(SELTRIG_REPO_ROOT) + "/BENCH_replication.json",
+      "replication_lag", json);
   return 0;
 }
 

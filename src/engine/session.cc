@@ -83,9 +83,7 @@ Status Session::ExecuteScript(const std::string& sql) {
   SELTRIG_ASSIGN_OR_RETURN(std::vector<ast::StatementPtr> stmts, ParseSqlScript(sql));
   ExecOptions options;
   for (auto& stmt : stmts) {
-    // Note: scripts cannot reconstruct per-statement text exactly; SQL_TEXT()
-    // reports the whole script for statements run this way.
-    ctx_.sql_text = sql;
+    ctx_.sql_text = stmt->source;
     Result<StatementResult> result =
         ExecuteStatement(*stmt, options, /*depth=*/0, /*action=*/nullptr);
     SELTRIG_RETURN_IF_ERROR(result.status());

@@ -234,6 +234,22 @@ TEST_F(SelectTriggerTest, ActionSqlTextIsAuditedQueryText) {
   EXPECT_EQ(r->rows[0][0].AsString(), query);
 }
 
+TEST_F(SelectTriggerTest, ScriptSqlTextIsPerStatement) {
+  // Inside a script, SQL_TEXT() is the audited statement's own text, not the
+  // whole script.
+  ASSERT_TRUE(db_.Execute(
+      "CREATE TRIGGER log_alice ON ACCESS TO audit_alice AS "
+      "INSERT INTO log SELECT now(), user_id(), sql_text(), patientid, "
+      "current_date() FROM accessed").ok());
+  const std::string query = "SELECT name FROM patients WHERE patientid = 1";
+  ASSERT_TRUE(db_.ExecuteScript(
+      "INSERT INTO disease VALUES (4, 'flu');\n  " + query + ";").ok());
+  auto r = db_.Execute("SELECT sql FROM log");
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][0].AsString(), query);
+}
+
 TEST_F(SelectTriggerTest, BeforeTriggerDeniesQuery) {
   // The Section II future-work variant: a BEFORE trigger guarding Alice's
   // record denies any query that accesses it.

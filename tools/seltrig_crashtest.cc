@@ -64,8 +64,17 @@
 // Election timeouts and vote-spread jitter are seeded from --seed, so a
 // failing trial sequence replays deterministically.
 //
+// Layout: each matrix is a table of scenarios (a label stem, the fault hits to
+// sweep, and a per-trial function returning crashed, exhausted or failed),
+// and one sweep runner, RunMatrix, runs any table: seeded shuffle, one fresh
+// directory per trial label, the --only filter and --trials budget, --keep
+// cleanup, counting, and the summary line. A scenario's hit sweep ends at its
+// first exhausted or failed trial. Every trial process is a Child, which is
+// SIGKILLed and reaped if it outlives its trial.
+//
 // Usage: seltrig_crashtest [--quick] [--keep] [--dir DIR] [--seed N]
-//                          [--replication] [--nodes N] [--trials N]
+//                          [--replication [--nodes 2|3]] [--trials N]
+//                          [--only LABEL-PREFIX]
 //   --quick        sweep only the first few hits of each point (CI smoke mode)
 //   --keep         keep trial directories, including on failure (default:
 //                  removed; failures print the label so a --keep rerun can
@@ -77,7 +86,10 @@
 //   --replication  run the two-node replication kill matrix
 //   --nodes        with --replication: cluster size (2 = operator-promoted
 //                  pair, 3 = automatic-election matrix; default 2)
-//   --trials       with --nodes 3: cap the number of trials (0 = full sweep)
+//   --trials       cap the number of trials (0 = the mode's default: the
+//                  full sweep, or 8 for --quick --nodes 3)
+//   --only         run only trials whose label starts with this prefix
+//                  (e.g. `--only wal.append#3` reruns one failing trial)
 
 #include <fcntl.h>
 #include <signal.h>
@@ -85,6 +97,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -94,6 +107,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -123,21 +137,32 @@ constexpr uint64_t kQuickNthLimit = 3;
 // (there is no SQL form in Database::Execute; the shell intercepts the word).
 constexpr const char* kCheckpointMarker = "@checkpoint";
 
+// The audited schema, shared by the fixed workload and the election matrix's
+// per-leader setup.
+constexpr const char* kCreatePatients =
+    "CREATE TABLE patients (patientid INT PRIMARY KEY, name VARCHAR, "
+    "diagnosis VARCHAR)";
+constexpr const char* kCreateLog =
+    "CREATE TABLE log (ts VARCHAR, userid VARCHAR, sql VARCHAR, patientid INT)";
+constexpr const char* kCreateAuditAlice =
+    "CREATE AUDIT EXPRESSION audit_alice AS SELECT * FROM patients WHERE "
+    "name = 'Alice' FOR SENSITIVE TABLE patients PARTITION BY patientid";
+constexpr const char* kCreateLogAlice =
+    "CREATE TRIGGER log_alice ON ACCESS TO audit_alice AS INSERT INTO log "
+    "SELECT now(), user_id(), sql_text(), patientid FROM accessed";
+
 // The audited workload. Every statement is deterministic apart from now(),
 // which the verifier excludes from comparison. `patients` has a PRIMARY KEY
 // so replay exercises the keyed row-image lookup; `log` has none, covering
 // the full-scan image lookup.
 const std::vector<std::string>& Workload() {
   static const std::vector<std::string> workload = {
-      "CREATE TABLE patients (patientid INT PRIMARY KEY, name VARCHAR, "
-      "diagnosis VARCHAR)",
-      "CREATE TABLE log (ts VARCHAR, userid VARCHAR, sql VARCHAR, patientid INT)",
+      kCreatePatients,
+      kCreateLog,
       "INSERT INTO patients VALUES (1, 'Alice', 'flu')",
       "INSERT INTO patients VALUES (2, 'Bob', 'cold')",
-      "CREATE AUDIT EXPRESSION audit_alice AS SELECT * FROM patients WHERE "
-      "name = 'Alice' FOR SENSITIVE TABLE patients PARTITION BY patientid",
-      "CREATE TRIGGER log_alice ON ACCESS TO audit_alice AS INSERT INTO log "
-      "SELECT now(), user_id(), sql_text(), patientid FROM accessed",
+      kCreateAuditAlice,
+      kCreateLogAlice,
       "SELECT name FROM patients WHERE patientid = 1",
       "UPDATE patients SET diagnosis = 'measles' WHERE patientid = 2",
       "INSERT INTO patients VALUES (3, 'Carol', 'checkup')",
@@ -208,14 +233,125 @@ void SeededShuffle(std::vector<T>* items, uint64_t seed) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Trial plumbing shared by all three matrices.
+
+// How one trial ended. A crashed trial lets the sweep go on to the next hit;
+// an exhausted one (the armed point never fired) or a failed one ends it.
+enum class Outcome { kCrashed, kExhausted, kFailed };
+
+Outcome Verified(bool ok, Outcome outcome) {
+  return ok ? outcome : Outcome::kFailed;
+}
+
+// One trial: its label (what --only matches and a FAIL line names), its
+// fresh directory, and the hit its fault is armed at.
+struct Trial {
+  std::string label;
+  std::string dir;
+  uint64_t hit = 0;
+};
+
+// A forked child process running `body`, which _Exits with body's return
+// value. A Child still running when it goes out of scope is SIGKILLed and
+// reaped, so no trial path can leak a process.
+//
+// No Database object (and thus no engine thread) exists in the parent when
+// forking: every verifier database is created and destroyed between trials,
+// and the lazy shared scan pool is never started under default ExecOptions.
+class Child {
+ public:
+  explicit Child(const std::function<int()>& body) : pid_(::fork()) {
+    if (pid_ == 0) std::_Exit(body());
+    if (pid_ < 0) std::perror("fork");
+  }
+  ~Child() { Kill(); }
+  Child(const Child&) = delete;
+  Child& operator=(const Child&) = delete;
+
+  bool running() const { return pid_ > 0; }
+  // Blocks until the child exits; returns its exit code (-1 when it died by
+  // a signal or never started).
+  int Wait() { return *Reap(0); }
+  // The exit code once the child has exited; std::nullopt while it runs.
+  std::optional<int> Poll() { return Reap(WNOHANG); }
+  // A SIGKILL from the harness is one more crash the recovery path must
+  // absorb: anything acknowledged is already fsynced.
+  void Kill() {
+    if (!running()) return;
+    ::kill(pid_, SIGKILL);
+    Reap(0);
+  }
+
+ private:
+  std::optional<int> Reap(int flags) {
+    if (!running()) return exit_code_;
+    int status = 0;
+    const pid_t reaped = ::waitpid(pid_, &status, flags);
+    if (reaped == 0) return std::nullopt;
+    pid_ = -1;
+    exit_code_ = reaped > 0 && WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    return exit_code_;
+  }
+
+  pid_t pid_;
+  int exit_code_ = -1;
+};
+
+// Partition trials drop this many consecutive outbound election frames in
+// the victim: at a 15 ms heartbeat interval that is a multi-second severed
+// link — long enough for the survivors to depose a partitioned leader.
+constexpr uint64_t kPartitionDrops = 300;
+
+// Arms `point` at its `hit`th hit. Call it after the child's (journal-
+// writing) open or start, so setup I/O cannot trip the fault. wal.torn gets
+// an error schedule, which the journal writer turns into a torn record and
+// _Exit; a partition trial gets an error schedule that the election bus turns
+// into kPartitionDrops silent drops of outbound frames; every other point
+// crashes the process.
+void ArmFault(const std::string& point, uint64_t hit, bool partition = false) {
+  FaultInjector::Schedule schedule = FaultInjector::CrashNth(hit);
+  if (partition) {
+    schedule = FaultInjector::FailTimes(kPartitionDrops);
+    schedule.nth = hit;
+    schedule.code = ErrorCode::kUnavailable;
+  } else if (point == fault_points::kWalTorn) {
+    schedule = FaultInjector::FailNth(hit);
+  }
+  FaultInjector::Instance().Arm(point, schedule);
+}
+
+// Appends one line to the acknowledgement file at `path` and fsyncs it. Only
+// once this returns true may the harness count the statement as promised.
+bool AppendAck(const std::string& path, const std::string& line) {
+  const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
+  if (fd < 0) return false;
+  const std::string out = line + "\n";
+  const bool ok = ::write(fd, out.data(), out.size()) ==
+                      static_cast<ssize_t>(out.size()) &&
+                  ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
+}
+
+// Verification and key-probe reads must not perturb the state they measure:
+// scanning the audited table with triggers enabled would append fresh
+// audit-log rows.
+ExecOptions QuietRead() {
+  ExecOptions options;
+  options.enable_select_triggers = false;
+  return options;
+}
+
 Status RunWorkloadStatement(Database* db, const std::string& stmt) {
   if (stmt == kCheckpointMarker) return db->Checkpoint();
   return db->Execute(stmt).status();
 }
 
 // ---------------------------------------------------------------------------
-// Child side: run the workload against a durable database, acknowledging each
-// committed statement through an fsynced file, until the armed fault kills us.
+// Single-node children: run the workload against a durable database,
+// acknowledging each committed statement through an fsynced file, until the
+// armed fault kills us.
 
 int RunWorkloadChild(const std::string& dir, const std::string& point,
                      uint64_t nth) {
@@ -226,15 +362,7 @@ int RunWorkloadChild(const std::string& dir, const std::string& point,
     return kHarnessError;
   }
   std::unique_ptr<Database> db = std::move(*opened);
-
-  int ack_fd = ::open((dir + "/acks").c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (ack_fd < 0) return kHarnessError;
-
-  // Arm after the (journal-writing) open so setup I/O cannot trip the fault.
-  FaultInjector::Schedule schedule = point == fault_points::kWalTorn
-                                         ? FaultInjector::FailNth(nth)
-                                         : FaultInjector::CrashNth(nth);
-  FaultInjector::Instance().Arm(point, schedule);
+  ArmFault(point, nth);
 
   for (size_t i = 0; i < Workload().size(); ++i) {
     Status s = RunWorkloadStatement(db.get(), Workload()[i]);
@@ -247,12 +375,7 @@ int RunWorkloadChild(const std::string& dir, const std::string& point,
     }
     // The engine acknowledged the statement (its journal record is durable
     // per the sync mode); only now may the harness count it as promised.
-    char line[32];
-    int len = std::snprintf(line, sizeof(line), "%zu\n", i);
-    if (::write(ack_fd, line, static_cast<size_t>(len)) != len ||
-        ::fsync(ack_fd) != 0) {
-      return kHarnessError;
-    }
+    if (!AppendAck(dir + "/acks", std::to_string(i))) return kHarnessError;
   }
   return kSweepExhausted;
 }
@@ -286,11 +409,8 @@ int RunLossChild(const std::string& dir) {
 
   // The loss row and quarantine transition are acknowledged; persist the ack,
   // then die on the next statement's journal append.
-  int ack_fd = ::open((dir + "/acks").c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (ack_fd < 0 || ::write(ack_fd, "loss\n", 5) != 5 || ::fsync(ack_fd) != 0) {
-    return kHarnessError;
-  }
-  FaultInjector::Instance().Arm(fault_points::kWalAppend, FaultInjector::CrashNth(1));
+  if (!AppendAck(dir + "/acks", "loss")) return kHarnessError;
+  ArmFault(fault_points::kWalAppend, 1);
   (void)db->Execute("INSERT INTO patients VALUES (9, 'Zed', 'checkup')");
   return kHarnessError;  // the append above must have crashed the process
 }
@@ -302,15 +422,11 @@ int RunLossChild(const std::string& dir) {
 // wall-clock audit timestamp, rows sorted. Two databases that ran the same
 // statement prefix produce identical projections.
 std::vector<std::string> StateProjection(Database* db) {
-  // Verification reads must not perturb the state they measure: scanning the
-  // audited table with triggers enabled would append fresh audit-log rows.
-  ExecOptions options;
-  options.enable_select_triggers = false;
   std::vector<std::string> out;
   for (const char* query :
        {"SELECT patientid, name, diagnosis FROM patients",
         "SELECT userid, sql, patientid FROM log"}) {
-    auto r = db->ExecuteWithOptions(query, options);
+    auto r = db->ExecuteWithOptions(query, QuietRead());
     if (!r.ok()) {
       out.push_back(std::string("<error: ") + r.status().message() + ">");
       continue;
@@ -363,10 +479,6 @@ size_t CountLines(const std::string& path) {
   return count;
 }
 
-size_t CountAckedStatements(const std::string& dir) {
-  return CountLines(dir + "/acks");
-}
-
 void PrintProjection(const char* label, const std::vector<std::string>& state) {
   std::fprintf(stderr, "  %s:\n", label);
   for (const std::string& line : state) std::fprintf(stderr, "    %s\n", line.c_str());
@@ -374,7 +486,7 @@ void PrintProjection(const char* label, const std::vector<std::string>& state) {
 
 bool VerifyWorkloadTrial(const std::string& dir, const std::string& label,
                          bool completed) {
-  const size_t acked = CountAckedStatements(dir);
+  const size_t acked = CountLines(dir + "/acks");
   RecoveryStats stats;
   Result<std::unique_ptr<Database>> recovered = Database::Recover(dir, &stats);
   if (!recovered.ok()) {
@@ -454,6 +566,36 @@ bool VerifyLossTrial(const std::string& dir) {
   return true;
 }
 
+Outcome RunWorkloadTrial(const Trial& trial, const std::string& point) {
+  Child child([&] { return RunWorkloadChild(trial.dir, point, trial.hit); });
+  const int exit_code = child.Wait();
+  if (exit_code == kSweepExhausted) {
+    // The point never fired at this hit count: the workload completed.
+    // Recovery of the completed run must reproduce the full prefix.
+    return Verified(VerifyWorkloadTrial(trial.dir, trial.label + " (completed)",
+                                        /*completed=*/true),
+                    Outcome::kExhausted);
+  }
+  if (exit_code != FaultInjector::kCrashExitCode) {
+    std::fprintf(stderr, "FAIL %s: unexpected child exit %d\n",
+                 trial.label.c_str(), exit_code);
+    return Outcome::kFailed;
+  }
+  return Verified(VerifyWorkloadTrial(trial.dir, trial.label, /*completed=*/false),
+                  Outcome::kCrashed);
+}
+
+Outcome RunLossTrial(const Trial& trial) {
+  Child child([&] { return RunLossChild(trial.dir); });
+  const int exit_code = child.Wait();
+  if (exit_code != FaultInjector::kCrashExitCode) {
+    std::fprintf(stderr, "FAIL loss: child exit %d (wanted %d)\n", exit_code,
+                 FaultInjector::kCrashExitCode);
+    return Outcome::kFailed;
+  }
+  return Verified(VerifyLossTrial(trial.dir), Outcome::kCrashed);
+}
+
 // ---------------------------------------------------------------------------
 // Replication matrix: a primary process ships the journal to a follower
 // process over a unix socket; the armed fault crashes one of them.
@@ -485,16 +627,7 @@ int RunReplicationPrimary(const std::string& dir, const std::string& socket_path
   shipper.AddFollower("f1",
                       [socket_path] { return ConnectLocalSocket(socket_path); });
 
-  int ack_fd = ::open((dir + "/acks").c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  int rack_fd = ::open((dir + "/racks").c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (ack_fd < 0 || rack_fd < 0) return kHarnessError;
-
-  if (arm_here) {
-    FaultInjector::Schedule schedule = point == fault_points::kWalTorn
-                                           ? FaultInjector::FailNth(nth)
-                                           : FaultInjector::CrashNth(nth);
-    FaultInjector::Instance().Arm(point, schedule);
-  }
+  if (arm_here) ArmFault(point, nth);
 
   for (size_t i = 0; i < Workload().size(); ++i) {
     Status s = RunWorkloadStatement(db.get(), Workload()[i]);
@@ -503,12 +636,7 @@ int RunReplicationPrimary(const std::string& dir, const std::string& socket_path
                    s.message().c_str());
       return kHarnessError;
     }
-    char line[32];
-    int len = std::snprintf(line, sizeof(line), "%zu\n", i);
-    if (::write(ack_fd, line, static_cast<size_t>(len)) != len ||
-        ::fsync(ack_fd) != 0) {
-      return kHarnessError;
-    }
+    if (!AppendAck(dir + "/acks", std::to_string(i))) return kHarnessError;
     if (sync_mode) {
       // A sync Execute returns only once every non-degraded follower acked
       // (or after degrading the laggard). So at this point either the
@@ -516,11 +644,9 @@ int RunReplicationPrimary(const std::string& dir, const std::string& socket_path
       // the statement is outside the sync guarantee — record it only in the
       // first case.
       std::vector<FollowerStatus> followers = shipper.Followers();
-      if (!followers.empty() && !followers[0].degraded) {
-        if (::write(rack_fd, line, static_cast<size_t>(len)) != len ||
-            ::fsync(rack_fd) != 0) {
-          return kHarnessError;
-        }
+      if (!followers.empty() && !followers[0].degraded &&
+          !AppendAck(dir + "/racks", std::to_string(i))) {
+        return kHarnessError;
       }
     }
   }
@@ -554,9 +680,7 @@ int RunReplicationFollower(const std::string& dir, const std::string& socket_pat
                  applier.status().message().c_str());
     return kHarnessError;
   }
-  if (arm_here) {
-    FaultInjector::Instance().Arm(point, FaultInjector::CrashNth(nth));
-  }
+  if (arm_here) ArmFault(point, nth);
   for (;;) {
     Result<std::shared_ptr<FrameChannel>> channel = (*server)->Accept(200);
     if (channel.status().code() == ErrorCode::kDeadlineExceeded) continue;
@@ -595,198 +719,66 @@ bool VerifyPromotedFollower(const std::string& follower_dir,
   return false;
 }
 
-// ---------------------------------------------------------------------------
-// Trial driver.
-
-struct TrialResult {
-  int exit_code = -1;
-  bool ran = false;
-};
-
-template <typename ChildFn>
-TrialResult RunTrial(ChildFn child_fn) {
-  // No Database object (and thus no engine thread) exists in the parent when
-  // forking: every verifier database is created and destroyed between trials,
-  // and the lazy shared scan pool is never started under default ExecOptions.
-  pid_t pid = ::fork();
-  if (pid < 0) return TrialResult{};
-  if (pid == 0) std::_Exit(child_fn());
-  int status = 0;
-  if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) {
-    return TrialResult{};
-  }
-  return TrialResult{WEXITSTATUS(status), true};
-}
-
-struct Options {
-  bool quick = false;
-  bool keep = false;
-  bool replication = false;
-  // --replication cluster size: 2 = operator-promoted pair, 3 = the
-  // automatic-election matrix.
-  int nodes = 2;
-  // --nodes 3 only: cap on the number of trials (0 = full sweep).
-  int trials = 0;
-  // --nodes 3 only: run only trials whose label starts with this prefix
-  // (e.g. `--only elect.election.partition.v1#8` reruns one failing trial).
-  std::string only;
-  uint64_t seed = 1;
-  std::string base_dir;
-};
-
-// Removes a trial directory unless --keep asked for it. Failures are
-// reproducible from the printed label and seed, so even failed trials are
-// cleaned up rather than leaked into the temp filesystem.
-void CleanupTrialDir(const std::string& dir, bool keep) {
-  if (keep) return;
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-}
-
 // One replication matrix trial: fork the follower, fork the primary, let the
 // armed fault kill its victim, then verify both directories.
-// Returns false on an invariant violation; *exhausted is set when the point
-// never fired in the victim, ending the Nth sweep for this configuration.
-bool RunReplicationTrial(const std::string& dir, const std::string& label,
-                         const std::string& point, uint64_t nth,
-                         bool victim_primary, bool sync_mode, bool* exhausted,
-                         int* crashes) {
-  const std::string primary_dir = dir + "/primary";
-  const std::string follower_dir = dir + "/follower";
-  const std::string socket_path = dir + "/sock";
+Outcome RunReplicationTrial(const Trial& trial, const std::string& point,
+                            bool victim_primary, bool sync_mode) {
+  const std::string primary_dir = trial.dir + "/primary";
+  const std::string follower_dir = trial.dir + "/follower";
+  const std::string socket_path = trial.dir + "/sock";
   std::error_code ec;
   std::filesystem::create_directories(primary_dir, ec);
   std::filesystem::create_directories(follower_dir, ec);
 
-  pid_t follower_pid = ::fork();
-  if (follower_pid < 0) return false;
-  if (follower_pid == 0) {
-    std::_Exit(RunReplicationFollower(follower_dir, socket_path, point, nth,
-                                      /*arm_here=*/!victim_primary));
-  }
+  Child follower([&] {
+    return RunReplicationFollower(follower_dir, socket_path, point, trial.hit,
+                                  /*arm_here=*/!victim_primary);
+  });
+  Child primary([&] {
+    return RunReplicationPrimary(primary_dir, socket_path, point, trial.hit,
+                                 /*arm_here=*/victim_primary, sync_mode);
+  });
+  const int primary_exit = primary.Wait();
+  // The follower either crashed on its armed point or is still serving.
+  const bool follower_crashed =
+      follower.Poll() == FaultInjector::kCrashExitCode;
+  follower.Kill();
 
-  pid_t primary_pid = ::fork();
-  if (primary_pid < 0) {
-    ::kill(follower_pid, SIGKILL);
-    ::waitpid(follower_pid, nullptr, 0);
-    return false;
-  }
-  if (primary_pid == 0) {
-    std::_Exit(RunReplicationPrimary(primary_dir, socket_path, point, nth,
-                                     /*arm_here=*/victim_primary, sync_mode));
-  }
-
-  int primary_status = 0;
-  if (::waitpid(primary_pid, &primary_status, 0) != primary_pid ||
-      !WIFEXITED(primary_status)) {
-    ::kill(follower_pid, SIGKILL);
-    ::waitpid(follower_pid, nullptr, 0);
-    std::fprintf(stderr, "FAIL %s: primary did not exit cleanly\n", label.c_str());
-    return false;
-  }
-  const int primary_exit = WEXITSTATUS(primary_status);
-
-  // The follower either crashed on its armed point or is still serving; a
-  // SIGKILL from here is just one more crash the recovery path must absorb
-  // (anything acked is already fsynced).
-  int follower_status = 0;
-  bool follower_crashed = false;
-  if (::waitpid(follower_pid, &follower_status, WNOHANG) == follower_pid) {
-    follower_crashed = WIFEXITED(follower_status) &&
-                       WEXITSTATUS(follower_status) == FaultInjector::kCrashExitCode;
-  } else {
-    ::kill(follower_pid, SIGKILL);
-    ::waitpid(follower_pid, &follower_status, 0);
-  }
-
+  Outcome outcome = Outcome::kExhausted;
   if (victim_primary) {
-    if (primary_exit == kSweepExhausted) {
-      *exhausted = true;
-    } else if (primary_exit == FaultInjector::kCrashExitCode) {
-      ++*crashes;
-    } else {
+    if (primary_exit == FaultInjector::kCrashExitCode) {
+      outcome = Outcome::kCrashed;
+    } else if (primary_exit != kSweepExhausted) {
       std::fprintf(stderr, "FAIL %s: unexpected primary exit %d\n",
-                   label.c_str(), primary_exit);
-      return false;
+                   trial.label.c_str(), primary_exit);
+      return Outcome::kFailed;
     }
   } else {
     if (primary_exit != kSweepExhausted) {
       // With the fault armed in the follower, the primary must always ride
       // out the loss and complete (graceful degradation).
       std::fprintf(stderr, "FAIL %s: primary exit %d with healthy journal\n",
-                   label.c_str(), primary_exit);
-      return false;
+                   trial.label.c_str(), primary_exit);
+      return Outcome::kFailed;
     }
-    if (follower_crashed) {
-      ++*crashes;
-    } else {
-      *exhausted = true;
-    }
+    if (follower_crashed) outcome = Outcome::kCrashed;
   }
 
   // The primary's own directory must recover to its locally-acked prefix,
   // exactly as in the single-node sweep.
-  if (!VerifyWorkloadTrial(primary_dir, label + " [primary]",
+  if (!VerifyWorkloadTrial(primary_dir, trial.label + " [primary]",
                            /*completed=*/primary_exit == kSweepExhausted)) {
-    return false;
+    return Outcome::kFailed;
   }
   // The promoted follower must be an acked-prefix replay. Under sync mode
   // the prefix floor is the statements acknowledged while the follower was
   // in the sync quorum; under async any prefix is acceptable.
   const size_t min_prefix =
       sync_mode ? CountLines(primary_dir + "/racks") : 0;
-  return VerifyPromotedFollower(follower_dir, label + " [follower]", min_prefix);
-}
-
-int RunReplicationHarness(const Options& options, const std::string& base) {
-  struct Config {
-    std::string point;
-    bool victim_primary;
-    bool sync_mode;
-  };
-  std::vector<Config> configs;
-  for (const std::string& point : ReplicationSweepPoints()) {
-    for (bool victim_primary : {true, false}) {
-      for (bool sync_mode : {true, false}) {
-        configs.push_back({point, victim_primary, sync_mode});
-      }
-    }
-  }
-  SeededShuffle(&configs, options.seed);
-
-  const uint64_t nth_limit = options.quick ? 2 : 6;
-  int trials = 0;
-  int crashes = 0;
-  bool failed = false;
-  std::error_code ec;
-
-  for (const Config& config : configs) {
-    for (uint64_t nth = 1; nth <= nth_limit; ++nth) {
-      const std::string label = std::string("repl.") + config.point +
-                                (config.victim_primary ? ".p" : ".f") +
-                                (config.sync_mode ? ".sync" : ".async") + "#" +
-                                std::to_string(nth);
-      const std::string dir = base + "/" + label;
-      std::filesystem::remove_all(dir, ec);
-      std::filesystem::create_directories(dir, ec);
-
-      ++trials;
-      bool exhausted = false;
-      bool ok = RunReplicationTrial(dir, label, config.point, nth,
-                                    config.victim_primary, config.sync_mode,
-                                    &exhausted, &crashes);
-      if (!ok) failed = true;
-      CleanupTrialDir(dir, options.keep);
-      if (!ok || exhausted) break;  // later hits cannot fire either
-    }
-  }
-
-  std::printf(
-      "seltrig_crashtest --replication: %d trials, %d injected crashes, "
-      "seed %llu, %s\n",
-      trials, crashes, static_cast<unsigned long long>(options.seed),
-      failed ? "FAILURES" : "all invariants held");
-  return failed ? 1 : 0;
+  return Verified(VerifyPromotedFollower(follower_dir,
+                                         trial.label + " [follower]",
+                                         min_prefix),
+                  outcome);
 }
 
 // ---------------------------------------------------------------------------
@@ -818,31 +810,6 @@ constexpr int64_t kConvergeBoundMs = 15000;
 // How long a crash trial waits for the armed point to fire before declaring
 // the Nth sweep for that configuration exhausted.
 constexpr int64_t kCrashWaitMs = 8000;
-// Partition trials drop this many consecutive outbound election frames in
-// the victim: at a 15 ms heartbeat interval that is a multi-second severed
-// link — long enough for the survivors to depose a partitioned leader.
-constexpr uint64_t kPartitionDrops = 300;
-
-// The idempotent schema setup a node (re)runs once per stint of leadership.
-// After a failover the journal already holds all of it and every statement
-// fails as a duplicate, which is harmless: the workload INSERT below is the
-// real probe of a usable leader.
-const char* const kElectionSetup[] = {
-    "CREATE TABLE patients (patientid INT PRIMARY KEY, name VARCHAR, "
-    "diagnosis VARCHAR)",
-    "CREATE TABLE log (ts VARCHAR, userid VARCHAR, sql VARCHAR, patientid INT)",
-    "CREATE AUDIT EXPRESSION audit_alice AS SELECT * FROM patients WHERE "
-    "name = 'Alice' FOR SENSITIVE TABLE patients PARTITION BY patientid",
-    "CREATE TRIGGER log_alice ON ACCESS TO audit_alice AS INSERT INTO log "
-    "SELECT now(), user_id(), sql_text(), patientid FROM accessed",
-};
-
-bool AppendAckLine(int fd, const std::string& line) {
-  const std::string out = line + "\n";
-  return ::write(fd, out.data(), out.size()) ==
-             static_cast<ssize_t>(out.size()) &&
-         ::fsync(fd) == 0;
-}
 
 // True when at least one follower is in the sync quorum. A kSync Execute
 // returns only once every non-degraded follower acked, so if one is still
@@ -862,9 +829,6 @@ bool AnySyncFollower(ElectionNode* node) {
 void WriteNodeStatus(const std::string& dir, uint64_t beat,
                      const ElectionInfo& info) {
   const std::string tmp = dir + "/status.tmp";
-  // Counters + health ride at the end so older readers (and the parser
-  // below, which stops at the position) stay compatible; health last since
-  // its message may contain spaces.
   const std::string line =
       std::to_string(beat) + " " + ElectionRoleName(info.role) + " " +
       std::to_string(info.epoch) + " " + std::to_string(info.term) + " " +
@@ -909,7 +873,7 @@ NodeStatus ReadNodeStatus(const std::string& dir) {
 // own recovered state) and reads each one back through the SELECT trigger.
 // The diagnosis column encodes (node, epoch), so a forked row that survived
 // failover shows up as a value mismatch in the offline verification. Two
-// fsynced streams accumulate per node (O_APPEND — a restarted victim keeps
+// fsynced streams accumulate per node (appended — a restarted victim keeps
 // its history): "acks" for locally committed statements and "racks" for
 // statements committed while a follower was in the sync quorum.
 int RunElectionNode(const std::vector<std::string>& ids, size_t index,
@@ -967,33 +931,10 @@ int RunElectionNode(const std::vector<std::string>& ids, size_t index,
     return kHarnessError;
   }
 
-  // Arm after Start so recovery/startup I/O cannot trip the fault (same
-  // convention as the single-node sweep). A partition trial arms an error
-  // schedule on election.partition: the bus turns each firing into a silent
-  // drop of one outbound election frame, so for kPartitionDrops consecutive
-  // sends this node is link-severed — if it leads, it keeps committing
-  // un-replicated local records until the survivors depose it, which is
-  // exactly the forked suffix the rejoin verification must prove dies.
-  if (arm_here) {
-    FaultInjector::Schedule schedule;
-    if (partition_trial) {
-      schedule.nth = nth;
-      schedule.every = 1;
-      schedule.times = kPartitionDrops;
-      schedule.code = ErrorCode::kUnavailable;
-    } else if (point == fault_points::kWalTorn) {
-      schedule = FaultInjector::FailNth(nth);
-    } else {
-      schedule = FaultInjector::CrashNth(nth);
-    }
-    FaultInjector::Instance().Arm(point, schedule);
-  }
-
-  int ack_fd =
-      ::open((dir + "/acks").c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
-  int rack_fd =
-      ::open((dir + "/racks").c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
-  if (ack_fd < 0 || rack_fd < 0) return kHarnessError;
+  // A partitioned node that leads keeps committing un-replicated local
+  // records until the survivors depose it, which is exactly the forked
+  // suffix the rejoin verification must prove dies.
+  if (arm_here) ArmFault(point, nth, partition_trial);
 
   const std::string pause_path = trial_dir + "/pause";
   uint64_t beat = 0;
@@ -1009,15 +950,19 @@ int RunElectionNode(const std::vector<std::string>& ids, size_t index,
       continue;
     }
     if (info.epoch != setup_epoch) {
-      for (const char* stmt : kElectionSetup) (void)db->Execute(stmt);
+      // The idempotent schema setup, rerun once per stint of leadership.
+      // After a failover the journal already holds all of it and every
+      // statement fails as a duplicate, which is harmless: the workload
+      // INSERT below is the real probe of a usable leader.
+      for (const char* stmt :
+           {kCreatePatients, kCreateLog, kCreateAuditAlice, kCreateLogAlice}) {
+        (void)db->Execute(stmt);
+      }
       setup_epoch = info.epoch;
     }
-    // Next key: continue the sequence from this leader's own state. Quiet
-    // scan — the probe must not write audit rows of its own.
-    ExecOptions quiet;
-    quiet.enable_select_triggers = false;
+    // Next key: continue the sequence from this leader's own state.
     Result<StatementResult> keys =
-        db->ExecuteWithOptions("SELECT patientid FROM patients", quiet);
+        db->ExecuteWithOptions("SELECT patientid FROM patients", QuietRead());
     if (!keys.ok()) {
       db.reset();
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -1033,9 +978,9 @@ int RunElectionNode(const std::vector<std::string>& ids, size_t index,
                              ", 'Alice', '" + tag + "')")
                      .status();
     if (ins.ok()) {
-      if (!AppendAckLine(ack_fd, "i " + k + " " + tag)) return kHarnessError;
+      if (!AppendAck(dir + "/acks", "i " + k + " " + tag)) return kHarnessError;
       if (AnySyncFollower(node->get()) &&
-          !AppendAckLine(rack_fd, "i " + k + " " + tag)) {
+          !AppendAck(dir + "/racks", "i " + k + " " + tag)) {
         return kHarnessError;
       }
       // The audited read-back: its SELECT trigger appends the log row in the
@@ -1045,9 +990,9 @@ int RunElectionNode(const std::vector<std::string>& ids, size_t index,
                                "patientid = " + k)
                        .status();
       if (sel.ok()) {
-        if (!AppendAckLine(ack_fd, "s " + k + " " + tag)) return kHarnessError;
+        if (!AppendAck(dir + "/acks", "s " + k + " " + tag)) return kHarnessError;
         if (AnySyncFollower(node->get()) &&
-            !AppendAckLine(rack_fd, "s " + k + " " + tag)) {
+            !AppendAck(dir + "/racks", "s " + k + " " + tag)) {
           return kHarnessError;
         }
       }
@@ -1075,10 +1020,8 @@ bool VerifyElectionTrial(const std::string& dir,
                    db.status().message().c_str());
       return false;
     }
-    ExecOptions quiet;
-    quiet.enable_select_triggers = false;
     Result<StatementResult> pr = (*db)->ExecuteWithOptions(
-        "SELECT patientid, name, diagnosis FROM patients", quiet);
+        "SELECT patientid, name, diagnosis FROM patients", QuietRead());
     if (pr.ok()) {
       for (const Row& row : pr->result.rows) {
         states[i].patients[row[0].AsInt()] =
@@ -1086,7 +1029,7 @@ bool VerifyElectionTrial(const std::string& dir,
       }
     }
     Result<StatementResult> lr = (*db)->ExecuteWithOptions(
-        "SELECT userid, sql, patientid FROM log", quiet);
+        "SELECT userid, sql, patientid FROM log", QuietRead());
     if (lr.ok()) {
       for (const Row& row : lr->result.rows) {
         ++states[i].log[row[0].AsString() + "|" + row[1].AsString() + "|" +
@@ -1181,16 +1124,6 @@ bool VerifyElectionTrial(const std::string& dir,
   return true;
 }
 
-void KillElectionNodes(std::vector<pid_t>* pids) {
-  for (pid_t& pid : *pids) {
-    if (pid > 0) {
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, nullptr, 0);
-      pid = -1;
-    }
-  }
-}
-
 bool WaitUntil(int64_t timeout_ms, const std::function<bool()>& pred) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
@@ -1201,39 +1134,32 @@ bool WaitUntil(int64_t timeout_ms, const std::function<bool()>& pred) {
   }
 }
 
-// One three-node trial. Returns false on an invariant violation; *exhausted
-// is set when a crash trial's armed point never fired in the victim.
-bool RunElectionTrial(const std::string& dir, const std::string& label,
-                      const std::string& point, size_t victim, uint64_t nth,
-                      bool partition_trial, uint64_t seed, bool* exhausted,
-                      int* crashes) {
+// One three-node trial: cold start, the armed crash (or partition window),
+// failover and heal, then quiesce and verify offline.
+Outcome RunElectionTrial(const Trial& trial, const std::string& point,
+                         size_t victim, bool partition_trial, uint64_t seed) {
+  const std::string& dir = trial.dir;
+  const std::string& label = trial.label;
   const std::vector<std::string> ids = {"n0", "n1", "n2"};
   std::error_code ec;
   for (const std::string& id : ids) {
     std::filesystem::create_directories(dir + "/" + id, ec);
   }
 
-  auto spawn = [&](size_t i, bool arm) -> pid_t {
-    pid_t pid = ::fork();
-    if (pid == 0) {
-      std::_Exit(
-          RunElectionNode(ids, i, dir, seed, point, nth, arm, partition_trial));
-    }
-    return pid;
+  auto spawn = [&](size_t i, bool arm) {
+    return std::make_unique<Child>([&, i, arm] {
+      return RunElectionNode(ids, i, dir, seed, point, trial.hit, arm,
+                             partition_trial);
+    });
   };
-
-  std::vector<pid_t> pids(ids.size(), -1);
+  std::vector<std::unique_ptr<Child>> nodes;
   for (size_t i = 0; i < ids.size(); ++i) {
-    pids[i] = spawn(i, /*arm=*/i == victim);
-    if (pids[i] < 0) {
-      KillElectionNodes(&pids);
-      return false;
-    }
+    nodes.push_back(spawn(i, /*arm=*/i == victim));
   }
 
   auto leader_index = [&]() -> int {
     for (size_t i = 0; i < ids.size(); ++i) {
-      if (pids[i] <= 0) continue;
+      if (!nodes[i]->running()) continue;
       NodeStatus s = ReadNodeStatus(dir + "/" + ids[i]);
       if (s.valid && s.role == "leader") return static_cast<int>(i);
     }
@@ -1245,8 +1171,7 @@ bool RunElectionTrial(const std::string& dir, const std::string& label,
   if (!WaitUntil(kElectionBoundMs, [&] { return leader_index() >= 0; })) {
     std::fprintf(stderr, "FAIL %s: no leader within %lld ms of cold start\n",
                  label.c_str(), static_cast<long long>(kElectionBoundMs));
-    KillElectionNodes(&pids);
-    return false;
+    return Outcome::kFailed;
   }
 
   bool victim_crashed = false;
@@ -1255,14 +1180,10 @@ bool RunElectionTrial(const std::string& dir, const std::string& label,
     // process may die in a partition trial.
     std::this_thread::sleep_for(std::chrono::milliseconds(3000));
     for (size_t i = 0; i < ids.size(); ++i) {
-      int status = 0;
-      if (::waitpid(pids[i], &status, WNOHANG) == pids[i]) {
+      if (std::optional<int> exit_code = nodes[i]->Poll()) {
         std::fprintf(stderr, "FAIL %s: %s died (exit %d) in partition trial\n",
-                     label.c_str(), ids[i].c_str(),
-                     WIFEXITED(status) ? WEXITSTATUS(status) : -1);
-        pids[i] = -1;
-        KillElectionNodes(&pids);
-        return false;
+                     label.c_str(), ids[i].c_str(), *exit_code);
+        return Outcome::kFailed;
       }
     }
   } else {
@@ -1271,38 +1192,28 @@ bool RunElectionTrial(const std::string& dir, const std::string& label,
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(kCrashWaitMs);
     while (std::chrono::steady_clock::now() < deadline) {
-      int status = 0;
-      if (::waitpid(pids[victim], &status, WNOHANG) == pids[victim]) {
-        pids[victim] = -1;
-        if (!WIFEXITED(status) ||
-            WEXITSTATUS(status) != FaultInjector::kCrashExitCode) {
+      if (std::optional<int> exit_code = nodes[victim]->Poll()) {
+        if (*exit_code != FaultInjector::kCrashExitCode) {
           std::fprintf(stderr, "FAIL %s: unexpected victim exit %d\n",
-                       label.c_str(),
-                       WIFEXITED(status) ? WEXITSTATUS(status) : -1);
-          KillElectionNodes(&pids);
-          return false;
+                       label.c_str(), *exit_code);
+          return Outcome::kFailed;
         }
         victim_crashed = true;
         break;
       }
       for (size_t i = 0; i < ids.size(); ++i) {
-        if (i == victim || pids[i] <= 0) continue;
-        if (::waitpid(pids[i], &status, WNOHANG) == pids[i]) {
+        if (i == victim) continue;
+        if (std::optional<int> exit_code = nodes[i]->Poll()) {
           std::fprintf(stderr, "FAIL %s: non-victim %s died (exit %d)\n",
-                       label.c_str(), ids[i].c_str(),
-                       WIFEXITED(status) ? WEXITSTATUS(status) : -1);
-          pids[i] = -1;
-          KillElectionNodes(&pids);
-          return false;
+                       label.c_str(), ids[i].c_str(), *exit_code);
+          return Outcome::kFailed;
         }
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
-    if (!victim_crashed) *exhausted = true;
   }
 
   if (victim_crashed) {
-    ++*crashes;
     // (a) failover: the survivors must elect among themselves within the
     // bound — entirely on their own.
     if (!WaitUntil(kElectionBoundMs, [&] {
@@ -1313,8 +1224,7 @@ bool RunElectionTrial(const std::string& dir, const std::string& label,
                    "FAIL %s: no surviving leader within %lld ms of the "
                    "victim's crash\n",
                    label.c_str(), static_cast<long long>(kElectionBoundMs));
-      KillElectionNodes(&pids);
-      return false;
+      return Outcome::kFailed;
     }
     // A stretch of post-failover commits the rejoining victim must absorb.
     std::this_thread::sleep_for(std::chrono::milliseconds(1500));
@@ -1324,11 +1234,7 @@ bool RunElectionTrial(const std::string& dir, const std::string& label,
     std::filesystem::remove(dir + "/" + ids[victim] + "/status", ec);
     std::filesystem::remove(dir + "/b" + std::to_string(victim), ec);
     std::filesystem::remove(dir + "/r" + std::to_string(victim), ec);
-    pids[victim] = spawn(victim, /*arm=*/false);
-    if (pids[victim] < 0) {
-      KillElectionNodes(&pids);
-      return false;
-    }
+    nodes[victim] = spawn(victim, /*arm=*/false);
   }
 
   // Quiesce the workload (replication and heartbeats keep running) and wait
@@ -1343,8 +1249,7 @@ bool RunElectionTrial(const std::string& dir, const std::string& label,
   int li = leader_index();
   if (li < 0) {
     std::fprintf(stderr, "FAIL %s: no leader at quiesce\n", label.c_str());
-    KillElectionNodes(&pids);
-    return false;
+    return Outcome::kFailed;
   }
   const WalPosition tip = ReadNodeStatus(dir + "/" + ids[li]).position;
   const bool settled = WaitUntil(kConvergeBoundMs, [&] {
@@ -1361,85 +1266,172 @@ bool RunElectionTrial(const std::string& dir, const std::string& label,
                  "FAIL %s: cluster did not settle on one converged leader "
                  "within %lld ms (healed node failed to rejoin?)\n",
                  label.c_str(), static_cast<long long>(kConvergeBoundMs));
-    KillElectionNodes(&pids);
-    return false;
+    return Outcome::kFailed;
   }
   const int final_leader = leader_index();
-  KillElectionNodes(&pids);
+  nodes.clear();  // SIGKILL the cluster before recovering its directories
   if (final_leader < 0) {
     std::fprintf(stderr, "FAIL %s: final leader vanished\n", label.c_str());
-    return false;
+    return Outcome::kFailed;
   }
-  return VerifyElectionTrial(dir, ids, label,
-                             static_cast<size_t>(final_leader));
+  return Verified(VerifyElectionTrial(dir, ids, label,
+                                      static_cast<size_t>(final_leader)),
+                  victim_crashed ? Outcome::kCrashed : Outcome::kExhausted);
 }
 
-int RunElectionHarness(const Options& options, const std::string& base) {
-  struct Config {
-    std::string point;
-    size_t victim;
-    bool partition;
-  };
-  std::vector<Config> configs;
+// ---------------------------------------------------------------------------
+// The sweep runner and the three scenario tables.
+
+struct Options {
+  bool quick = false;
+  bool keep = false;
+  bool replication = false;
+  // --replication cluster size: 2 = operator-promoted pair, 3 = the
+  // automatic-election matrix.
+  int nodes = 2;
+  // Cap on the number of trials (0 = the matrix's default budget).
+  int trials = 0;
+  // Run only trials whose label starts with this prefix (e.g.
+  // `--only elect.election.partition.part.v1#1` reruns one failing trial).
+  std::string only;
+  uint64_t seed = 1;
+  std::string base_dir;
+};
+
+// One row of a kill matrix: trials labelled `stem#hit` for each hit in
+// order (a hit of 0 is a single trial labelled `stem` alone), each run by
+// `run` in its own fresh directory.
+struct Scenario {
+  std::string stem;
+  std::vector<uint64_t> hits;
+  std::function<Outcome(const Trial&)> run;
+  // Pinned rows run after the shuffled ones, in table order.
+  bool pinned = false;
+};
+
+struct Matrix {
+  std::string title;  // the summary line's prefix
+  std::string note;   // extra summary-line clause, e.g. ", 0 ... promotions"
+  std::vector<Scenario> scenarios;
+  int default_budget = 0;  // trial cap without --trials (0 = none)
+};
+
+// `count` hits starting at 1, `step` apart.
+std::vector<uint64_t> Hits(uint64_t count, uint64_t step = 1) {
+  std::vector<uint64_t> hits;
+  for (uint64_t n = 0; n < count; ++n) hits.push_back(1 + n * step);
+  return hits;
+}
+
+Matrix SingleNodeMatrix(const Options& options) {
+  Matrix matrix{"seltrig_crashtest", "", {}, 0};
+  const std::vector<uint64_t> hits =
+      Hits(options.quick ? kQuickNthLimit : kMaxNth);
+  for (const std::string& point : SweepPoints()) {
+    matrix.scenarios.push_back(
+        {point, hits, [point](const Trial& t) { return RunWorkloadTrial(t, point); }});
+  }
+  matrix.scenarios.push_back({"loss", {0}, RunLossTrial, /*pinned=*/true});
+  return matrix;
+}
+
+Matrix ReplicationMatrix(const Options& options) {
+  Matrix matrix{"seltrig_crashtest --replication", "", {}, 0};
+  const std::vector<uint64_t> hits = Hits(options.quick ? 2 : 6);
+  for (const std::string& point : ReplicationSweepPoints()) {
+    for (bool victim_primary : {true, false}) {
+      for (bool sync_mode : {true, false}) {
+        matrix.scenarios.push_back(
+            {"repl." + point + (victim_primary ? ".p" : ".f") +
+                 (sync_mode ? ".sync" : ".async"),
+             hits, [=](const Trial& t) {
+               return RunReplicationTrial(t, point, victim_primary, sync_mode);
+             }});
+      }
+    }
+  }
+  return matrix;
+}
+
+Matrix ElectionMatrix(const Options& options) {
+  Matrix matrix{"seltrig_crashtest --replication --nodes 3",
+                ", 0 operator promotions", {}, options.quick ? 8 : 0};
+  const uint64_t seed = options.seed;
+  // Hits beyond the first land in steady state rather than the first
+  // election; spread them out instead of stepping one by one.
+  const std::vector<uint64_t> hits = Hits(options.quick ? 2 : 4, /*step=*/7);
   for (const std::string& point : ElectionSweepPoints()) {
     for (size_t victim = 0; victim < 3; ++victim) {
-      configs.push_back({point, victim, false});
+      matrix.scenarios.push_back(
+          {"elect." + point + ".v" + std::to_string(victim), hits,
+           [=](const Trial& t) {
+             return RunElectionTrial(t, point, victim, /*partition=*/false, seed);
+           }});
     }
   }
   // Dedicated partition-heal trials: a severed link instead of a crash, so a
   // deposed-but-alive leader writes the forked suffix invariant (c) targets.
   for (size_t victim = 0; victim < 3; ++victim) {
-    configs.push_back({fault_points::kElectionPartition, victim, true});
+    const std::string point = fault_points::kElectionPartition;
+    matrix.scenarios.push_back(
+        {"elect." + point + ".part.v" + std::to_string(victim), {1},
+         [=](const Trial& t) {
+           return RunElectionTrial(t, point, victim, /*partition=*/true, seed);
+         }});
   }
-  SeededShuffle(&configs, options.seed);
+  return matrix;
+}
 
-  const uint64_t nth_limit = options.quick ? 2 : 4;
-  const int trial_budget =
-      options.trials > 0
-          ? options.trials
-          : (options.quick ? 8 : static_cast<int>(configs.size() * nth_limit));
+// Runs one matrix: the seeded shuffle, then each scenario's hit sweep until
+// a trial is exhausted or fails, within the --only filter and trial budget.
+// Returns the process exit code.
+int RunMatrix(const Options& options, const std::string& base,
+              const Matrix& matrix) {
+  std::vector<const Scenario*> order;
+  for (const Scenario& s : matrix.scenarios) {
+    if (!s.pinned) order.push_back(&s);
+  }
+  SeededShuffle(&order, options.seed);
+  for (const Scenario& s : matrix.scenarios) {
+    if (s.pinned) order.push_back(&s);
+  }
+
+  const int budget = options.trials > 0 ? options.trials : matrix.default_budget;
   int trials = 0;
   int crashes = 0;
   bool failed = false;
-  std::error_code ec;
-
-  for (const Config& config : configs) {
-    if (trials >= trial_budget) break;
-    const uint64_t sweep = config.partition ? 1 : nth_limit;
-    for (uint64_t n = 1; n <= sweep; ++n) {
-      if (trials >= trial_budget) break;
-      // Hits beyond the first land in steady state rather than the first
-      // election; spread them out instead of stepping one by one.
-      const uint64_t hit = config.partition ? n : 1 + (n - 1) * 7;
-      const std::string label = std::string("elect.") + config.point +
-                                (config.partition ? ".part" : "") + ".v" +
-                                std::to_string(config.victim) + "#" +
-                                std::to_string(hit);
-      if (!options.only.empty() && label.rfind(options.only, 0) != 0) {
-        continue;
-      }
-      const std::string dir = base + "/" + label;
-      std::filesystem::remove_all(dir, ec);
-      std::filesystem::create_directories(dir, ec);
+  for (const Scenario* scenario : order) {
+    for (uint64_t hit : scenario->hits) {
+      if (budget > 0 && trials >= budget) break;
+      Trial trial;
+      trial.label = hit == 0 ? scenario->stem
+                             : scenario->stem + "#" + std::to_string(hit);
+      if (trial.label.rfind(options.only, 0) != 0) continue;
+      trial.dir = base + "/" + trial.label;
+      trial.hit = hit;
+      std::error_code ec;
+      std::filesystem::remove_all(trial.dir, ec);
+      std::filesystem::create_directories(trial.dir, ec);
 
       ++trials;
-      bool exhausted = false;
-      bool ok =
-          RunElectionTrial(dir, label, config.point, config.victim, hit,
-                           config.partition, options.seed, &exhausted,
-                           &crashes);
-      if (!ok) failed = true;
-      CleanupTrialDir(dir, options.keep);
-      if (!ok || exhausted) break;
+      const Outcome outcome = scenario->run(trial);
+      // Failures are reproducible from the printed label and seed, so even
+      // failed trials are cleaned up rather than leaked.
+      if (!options.keep) std::filesystem::remove_all(trial.dir, ec);
+      if (outcome == Outcome::kCrashed) {
+        ++crashes;
+        continue;
+      }
+      if (outcome == Outcome::kFailed) failed = true;
+      break;  // later hits cannot fire either
     }
   }
 
-  std::printf(
-      "seltrig_crashtest --replication --nodes 3: %d trials, %d injected "
-      "crashes, 0 operator promotions, seed %llu, %s\n",
-      trials, crashes, static_cast<unsigned long long>(options.seed),
-      failed ? "FAILURES (rerun with --keep --seed to inspect)"
-             : "all invariants held");
+  std::printf("%s: %d trials, %d injected crashes%s, seed %llu, %s\n",
+              matrix.title.c_str(), trials, crashes, matrix.note.c_str(),
+              static_cast<unsigned long long>(options.seed),
+              failed ? "FAILURES (rerun with --keep --seed to inspect)"
+                     : "all invariants held");
   return failed ? 1 : 0;
 }
 
@@ -1456,91 +1448,32 @@ int RunHarness(const Options& options) {
     std::fprintf(stderr, "cannot create %s\n", base.c_str());
     return 1;
   }
-
-  if (options.replication) {
-    const int result = options.nodes >= 3
-                           ? RunElectionHarness(options, base)
-                           : RunReplicationHarness(options, base);
-    if (result == 0 && !options.keep && options.base_dir.empty()) {
-      std::filesystem::remove_all(base, ec);
-    }
-    return result;
-  }
-
-  int trials = 0;
-  int crashes = 0;
-  bool failed = false;
-  const uint64_t nth_limit = options.quick ? kQuickNthLimit : kMaxNth;
-
-  std::vector<std::string> points = SweepPoints();
-  SeededShuffle(&points, options.seed);
-
-  for (const std::string& point : points) {
-    for (uint64_t nth = 1; nth <= nth_limit; ++nth) {
-      const std::string label = point + "#" + std::to_string(nth);
-      const std::string dir = base + "/" + point + "." + std::to_string(nth);
-      std::filesystem::remove_all(dir, ec);
-      std::filesystem::create_directories(dir, ec);
-
-      TrialResult trial = RunTrial(
-          [&] { return RunWorkloadChild(dir, point, nth); });
-      ++trials;
-      if (!trial.ran) {
-        std::fprintf(stderr, "FAIL %s: child did not exit cleanly\n",
-                     label.c_str());
-        failed = true;
-        CleanupTrialDir(dir, options.keep);
-        break;
-      }
-      if (trial.exit_code == kSweepExhausted) {
-        // The point never fired at this hit count: the workload completed.
-        // Recovery of the completed run must reproduce the full prefix.
-        if (!VerifyWorkloadTrial(dir, label + " (completed)", /*completed=*/true)) {
-          failed = true;
-        }
-        CleanupTrialDir(dir, options.keep);
-        break;  // later hits cannot fire either
-      }
-      if (trial.exit_code != FaultInjector::kCrashExitCode) {
-        std::fprintf(stderr, "FAIL %s: unexpected child exit %d\n",
-                     label.c_str(), trial.exit_code);
-        failed = true;
-        CleanupTrialDir(dir, options.keep);
-        continue;
-      }
-      ++crashes;
-      if (!VerifyWorkloadTrial(dir, label, /*completed=*/false)) {
-        failed = true;
-      }
-      CleanupTrialDir(dir, options.keep);
-    }
-  }
-
-  {
-    const std::string dir = base + "/loss";
-    std::filesystem::remove_all(dir, ec);
-    std::filesystem::create_directories(dir, ec);
-    TrialResult trial = RunTrial([&] { return RunLossChild(dir); });
-    ++trials;
-    if (!trial.ran || trial.exit_code != FaultInjector::kCrashExitCode) {
-      std::fprintf(stderr, "FAIL loss: child exit %d (wanted %d)\n",
-                   trial.exit_code, FaultInjector::kCrashExitCode);
-      failed = true;
-    } else {
-      ++crashes;
-      if (!VerifyLossTrial(dir)) failed = true;
-    }
-    CleanupTrialDir(dir, options.keep);
-  }
-
-  if (!failed && !options.keep && options.base_dir.empty()) {
+  const Matrix matrix = !options.replication ? SingleNodeMatrix(options)
+                        : options.nodes == 3 ? ElectionMatrix(options)
+                                             : ReplicationMatrix(options);
+  const int result = RunMatrix(options, base, matrix);
+  if (result == 0 && !options.keep && options.base_dir.empty()) {
     std::filesystem::remove_all(base, ec);
   }
-  std::printf("seltrig_crashtest: %d trials, %d injected crashes, seed %llu, %s\n",
-              trials, crashes, static_cast<unsigned long long>(options.seed),
-              failed ? "FAILURES (rerun with --keep --seed to inspect)"
-                     : "all invariants held");
-  return failed ? 1 : 0;
+  return result;
+}
+
+// Parses a whole decimal flag value; a malformed one is a usage error, never
+// a silent 0.
+template <typename T>
+bool ParseNumber(const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end && ptr != text;
+}
+
+int Usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--quick] [--keep] [--dir DIR] [--seed N] "
+               "[--replication [--nodes 2|3]] [--trials N] "
+               "[--only LABEL-PREFIX]\n",
+               argv0);
+  return 2;
 }
 
 }  // namespace
@@ -1548,6 +1481,7 @@ int RunHarness(const Options& options) {
 
 int main(int argc, char** argv) {
   seltrig::Options options;
+  bool nodes_given = false;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--quick") {
@@ -1557,23 +1491,31 @@ int main(int argc, char** argv) {
     } else if (arg == "--replication") {
       options.replication = true;
     } else if (arg == "--nodes" && i + 1 < argc) {
-      options.nodes = std::atoi(argv[++i]);
+      if (!seltrig::ParseNumber(argv[++i], &options.nodes)) {
+        return seltrig::Usage(argv[0]);
+      }
+      nodes_given = true;
     } else if (arg == "--trials" && i + 1 < argc) {
-      options.trials = std::atoi(argv[++i]);
+      if (!seltrig::ParseNumber(argv[++i], &options.trials)) {
+        return seltrig::Usage(argv[0]);
+      }
     } else if (arg == "--dir" && i + 1 < argc) {
       options.base_dir = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
-      options.seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!seltrig::ParseNumber(argv[++i], &options.seed)) {
+        return seltrig::Usage(argv[0]);
+      }
     } else if (arg == "--only" && i + 1 < argc) {
       options.only = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--keep] [--dir DIR] [--seed N] "
-                   "[--replication] [--nodes N] [--trials N] "
-                   "[--only LABEL-PREFIX]\n",
-                   argv[0]);
-      return 2;
+      return seltrig::Usage(argv[0]);
     }
+  }
+  // --nodes picks between the replication matrices, so it is meaningless
+  // without --replication; only 2 and 3 exist.
+  if ((nodes_given && !options.replication) ||
+      (options.nodes != 2 && options.nodes != 3) || options.trials < 0) {
+    return seltrig::Usage(argv[0]);
   }
   return seltrig::RunHarness(options);
 }

@@ -265,7 +265,7 @@ Database* StringSweepDb() {
       std::string s = "customer_";
       s += static_cast<char>('a' + v / 26 % 26);
       s += static_cast<char>('a' + v % 26);
-      insert += "(" + std::to_string(i) + ", '" + s + "')";
+      insert.append("(").append(std::to_string(i)).append(", '").append(s).append("')");
       if (i % 1000 == 0) {
         status = d->Execute(insert).status();
         if (!status.ok()) std::abort();

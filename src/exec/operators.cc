@@ -394,9 +394,18 @@ Status HashJoinOp::InitImpl() {
   // the child's batches instead of copying them (view cells are copied; table
   // storage is never moved from).
   size_t estimate = EstimateCardinality(*node_.children[1], ctx_);
-  int64_path_ = left_keys_.size() == 1 && right_keys_.size() == 1;
+  switch (right_keys_.size()) {
+    case 1:
+      key_path_ = KeyPath::kInt64;
+      break;
+    case 2:
+      key_path_ = KeyPath::kPair;
+      break;
+    default:
+      key_path_ = KeyPath::kGeneric;
+  }
   int_buckets_.clear();
-  if (int64_path_) {
+  if (key_path_ != KeyPath::kGeneric) {
     int_index_.Reset(estimate);
     int_buckets_.reserve(estimate);
   } else {
@@ -412,30 +421,21 @@ Status HashJoinOp::InitImpl() {
     for (size_t i = 0; i < build_batch.size(); ++i) {
       // Keys are evaluated against the batch first; the row is only
       // materialized (moving owned cells out) afterwards.
-      eval_ctx_.BindBatch(&build_batch, i);
-      Row key;
-      key.reserve(right_keys_.size());
-      bool null_key = false;
-      for (const auto& k : right_keys_) {
-        Result<Value> v = EvalExpr(*k, eval_ctx_);
-        SELTRIG_RETURN_IF_ERROR(v.status());
-        if (v->is_null()) {
-          null_key = true;
-          break;
-        }
-        key.push_back(std::move(*v));
-      }
-      if (null_key) continue;  // SQL equality never matches NULL keys
+      SELTRIG_ASSIGN_OR_RETURN(bool has_key, EvalKeys(right_keys_, build_batch, i));
+      if (!has_key) continue;  // SQL equality never matches NULL keys
       build_batch.MoveRowTo(i, &row);
       right_width_ = row.size();
-      if (int64_path_ && key[0].type() != TypeId::kInt) DegradeToGenericTable();
-      if (int64_path_) {
+      int64_t packed = 0;
+      if (key_path_ != KeyPath::kGeneric && !PackBuildKey(&packed)) {
+        DegradeToGenericTable();
+      }
+      if (key_path_ != KeyPath::kGeneric) {
         auto [slot, inserted] = int_index_.FindOrInsert(
-            key[0].AsInt(), static_cast<uint32_t>(int_buckets_.size()));
+            packed, static_cast<uint32_t>(int_buckets_.size()));
         if (inserted) int_buckets_.emplace_back();
         int_buckets_[slot].push_back(std::move(row));
       } else {
-        hash_table_[std::move(key)].push_back(std::move(row));
+        hash_table_[std::move(key_scratch_)].push_back(std::move(row));
       }
     }
   }
@@ -446,12 +446,73 @@ Status HashJoinOp::InitImpl() {
   return Status::OK();
 }
 
+namespace {
+
+// The pair path packs (a, b), both within int32, as a's bits over b's.
+int64_t PackPair(int64_t a, int64_t b) {
+  return static_cast<int64_t>((static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
+                              static_cast<uint32_t>(b));
+}
+
+bool FitsInt32(int64_t v) { return v >= INT32_MIN && v <= INT32_MAX; }
+
+}  // namespace
+
+Result<bool> HashJoinOp::EvalKeys(const std::vector<ExprPtr>& keys,
+                                  const ColumnBatch& batch, size_t i) {
+  key_scratch_.clear();
+  key_scratch_.reserve(keys.size());
+  eval_ctx_.BindBatch(&batch, i);
+  for (const auto& k : keys) {
+    SELTRIG_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, eval_ctx_));
+    if (v.is_null()) return false;
+    key_scratch_.push_back(std::move(v));
+  }
+  return true;
+}
+
+bool HashJoinOp::PackBuildKey(int64_t* out) const {
+  for (const Value& v : key_scratch_) {
+    if (v.type() != TypeId::kInt) return false;
+  }
+  if (key_path_ == KeyPath::kInt64) {
+    *out = key_scratch_[0].AsInt();
+    return true;
+  }
+  const int64_t a = key_scratch_[0].AsInt();
+  const int64_t b = key_scratch_[1].AsInt();
+  if (!FitsInt32(a) || !FitsInt32(b)) return false;
+  *out = PackPair(a, b);
+  return true;
+}
+
+bool HashJoinOp::PackProbeKey(int64_t* out) const {
+  // A probe key outside the build keys' domain (string/date/bool, a
+  // non-integral double, or beyond int32 on the pair path) cannot equal any
+  // build key.
+  if (key_path_ == KeyPath::kInt64) return Int64ProbeKey(key_scratch_[0], out);
+  int64_t a = 0;
+  int64_t b = 0;
+  if (!Int64ProbeKey(key_scratch_[0], &a) || !Int64ProbeKey(key_scratch_[1], &b) ||
+      !FitsInt32(a) || !FitsInt32(b)) {
+    return false;
+  }
+  *out = PackPair(a, b);
+  return true;
+}
+
 void HashJoinOp::DegradeToGenericTable() {
-  int64_path_ = false;
+  const KeyPath path = key_path_;
+  key_path_ = KeyPath::kGeneric;
   hash_table_.reserve(int_index_.size());
   int_index_.ForEach([&](int64_t key, uint32_t slot) {
     Row k;
-    k.push_back(Value::Int(key));
+    if (path == KeyPath::kInt64) {
+      k.push_back(Value::Int(key));
+    } else {
+      k.push_back(Value::Int(static_cast<int32_t>(static_cast<uint64_t>(key) >> 32)));
+      k.push_back(Value::Int(static_cast<int32_t>(static_cast<uint32_t>(key))));
+    }
     hash_table_[std::move(k)] = std::move(int_buckets_[slot]);
   });
   int_index_.Clear();
@@ -476,24 +537,11 @@ Result<bool> HashJoinOp::AdvanceLeft() {
     match_idx_ = 0;
     matches_ = nullptr;
 
-    eval_ctx_.BindBatch(&left_batch_, left_li_);
-    key_scratch_.clear();
-    key_scratch_.reserve(left_keys_.size());
-    bool null_key = false;
-    for (const auto& k : left_keys_) {
-      SELTRIG_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, eval_ctx_));
-      if (v.is_null()) {
-        null_key = true;
-        break;
-      }
-      key_scratch_.push_back(std::move(v));
-    }
-    if (!null_key) {
-      if (int64_path_) {
-        // A probe key outside the int64 domain (string/date/bool, or a
-        // non-integral double) cannot equal any all-integer build key.
+    SELTRIG_ASSIGN_OR_RETURN(bool has_key, EvalKeys(left_keys_, left_batch_, left_li_));
+    if (has_key) {
+      if (key_path_ != KeyPath::kGeneric) {
         int64_t k;
-        if (Int64ProbeKey(key_scratch_[0], &k)) {
+        if (PackProbeKey(&k)) {
           uint32_t slot = int_index_.Find(k);
           if (slot != Int64HashIndex::kNone) matches_ = &int_buckets_[slot];
         }

@@ -239,7 +239,10 @@ class ProjectOp : public PhysicalOperator {
 // Hash join over extracted equi-key conjuncts, with residual predicate.
 // Builds on the right child (moving rows out of the child's batches, with
 // bucket capacity reserved from the build side's estimated cardinality),
-// probes with batches of the left. Supports inner and left outer joins.
+// probes with batches of the left. Supports inner and left outer joins. Join
+// reordering puts the smaller input on the right, so the build is the cheap
+// side; one- and two-key integer joins hash raw int64 keys (Int64HashIndex)
+// instead of Row keys.
 class HashJoinOp : public PhysicalOperator {
  public:
   HashJoinOp(ExecContext* ctx, std::vector<const Row*> outer_rows,
@@ -255,8 +258,18 @@ class HashJoinOp : public PhysicalOperator {
  private:
   // Advances to the next probe-side row; false at end of the left stream.
   Result<bool> AdvanceLeft();
+  // Evaluates `keys` for logical row `i` of `batch` into key_scratch_;
+  // false when a key is NULL (the row can match nothing).
+  Result<bool> EvalKeys(const std::vector<ExprPtr>& keys, const ColumnBatch& batch,
+                        size_t i);
+  // Packs the evaluated key_scratch_ into the fast path's int64 domain.
+  // Build keys must be kInt (and within int32 on the pair path), so false
+  // means degrade; a probe key may also be an integral double (Value::Compare
+  // equates Double(2.0) and Int(2)), and false means it matches nothing.
+  bool PackBuildKey(int64_t* out) const;
+  bool PackProbeKey(int64_t* out) const;
   // Migrates the int64 fast-path table into the generic Row-keyed table
-  // (first non-integer build key).
+  // (first build key outside the fast path's domain).
   void DegradeToGenericTable();
 
   const LogicalJoin& node_;
@@ -266,12 +279,15 @@ class HashJoinOp : public PhysicalOperator {
   std::vector<ExprPtr> right_keys_;  // bound against the right child alone
   ExprPtr residual_;                 // over the concatenated row; nullable
 
-  // Single-int64-key fast path (the common TPC-H shape: one surrogate-key
-  // equi conjunct): raw open-addressing index over the build keys with
-  // per-slot bucket lists. Engaged for one-key joins; degrades to the
-  // generic table the moment a non-kInt build key appears, so mixed-type
-  // equality keeps Value::Compare semantics exactly.
-  bool int64_path_ = false;
+  // int64 fast paths (the TPC-H shapes: one surrogate-key equi conjunct, or
+  // two, as in Q5's `l_orderkey = o_orderkey AND l_suppkey = s_suppkey`): a
+  // raw open-addressing index over the build keys with per-slot bucket
+  // lists. kInt64 keys one-key joins by the key itself; kPair packs a
+  // two-key join's keys, both within int32, into one int64. Either degrades
+  // to the generic table the moment a build key leaves its domain, so
+  // mixed-type equality keeps Value::Compare semantics exactly.
+  enum class KeyPath { kGeneric, kInt64, kPair };
+  KeyPath key_path_ = KeyPath::kGeneric;
   Int64HashIndex int_index_;
   std::vector<std::vector<Row>> int_buckets_;
   std::unordered_map<Row, std::vector<Row>, RowHash, RowEq> hash_table_;

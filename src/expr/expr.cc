@@ -107,8 +107,11 @@ std::string Expr::ToString() const {
     case ExprKind::kIsNull:
       return "(" + children[0]->ToString() + (negated ? " IS NOT NULL)" : " IS NULL)");
     case ExprKind::kLike:
-      return "(" + children[0]->ToString() + (negated ? " NOT LIKE " : " LIKE ") +
-             children[1]->ToString() + ")";
+      return std::string("(")
+          .append(children[0]->ToString())
+          .append(negated ? " NOT LIKE " : " LIKE ")
+          .append(children[1]->ToString())
+          .append(")");
     case ExprKind::kInList: {
       std::string out = "(" + children[0]->ToString() + (negated ? " NOT IN (" : " IN (");
       for (size_t i = 1; i < children.size(); ++i) {

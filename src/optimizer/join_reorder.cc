@@ -34,6 +34,78 @@ double ConjunctSelectivity(const Expr& e) {
   }
 }
 
+// Calls `fn` on each top-level AND-conjunct of `e` (non-destructive
+// counterpart of SplitConjuncts).
+void ForEachConjunct(const Expr& e, const std::function<void(const Expr&)>& fn) {
+  if (e.kind == ExprKind::kLogical && e.logical_op == LogicalOp::kAnd) {
+    ForEachConjunct(*e.children[0], fn);
+    ForEachConjunct(*e.children[1], fn);
+    return;
+  }
+  fn(e);
+}
+
+// The catalog scan whose base column output column `col` of `node` passes
+// through unchanged (filters, join concatenation, column-ref projections),
+// or null when the column is computed or comes from a virtual relation.
+const LogicalScan* ResolveScanColumn(const LogicalOperator& node, int col,
+                                     int* base_col) {
+  switch (node.kind()) {
+    case PlanKind::kScan: {
+      const auto& scan = static_cast<const LogicalScan&>(node);
+      if (scan.virtual_rows != nullptr) return nullptr;
+      *base_col = scan.BaseColumn(col);
+      return &scan;
+    }
+    case PlanKind::kFilter:
+      return ResolveScanColumn(*node.children[0], col, base_col);
+    case PlanKind::kJoin: {
+      int left_width = static_cast<int>(node.children[0]->schema.size());
+      if (col < left_width) return ResolveScanColumn(*node.children[0], col, base_col);
+      return ResolveScanColumn(*node.children[1], col - left_width, base_col);
+    }
+    case PlanKind::kProject: {
+      const Expr& e = *static_cast<const LogicalProject&>(node).exprs[static_cast<size_t>(col)];
+      if (e.kind != ExprKind::kColumnRef) return nullptr;
+      return ResolveScanColumn(*node.children[0], e.column_index, base_col);
+    }
+    default:
+      return nullptr;
+  }
+}
+
+// Maps a column reference of a join conjunct to the scan column it reads.
+using ColumnResolver = std::function<const LogicalScan*(int col, int* base_col)>;
+
+// Fraction of the cross product a join on `conjuncts` keeps. An equi conjunct
+// that equates table T's primary key lets each row of the other side meet at
+// most one T row, so the join keeps 1/rows(T) of the product (the smallest
+// such fraction when several keys are equated, as in a two-key join); any
+// other condition keeps the flat 0.01 guess, and no condition keeps it all.
+double JoinFraction(const std::vector<const Expr*>& conjuncts,
+                    const ColumnResolver& resolve, const Catalog* catalog) {
+  if (conjuncts.empty()) return 1.0;
+  double fraction = 0.0;
+  for (const Expr* c : conjuncts) {
+    if (c->kind != ExprKind::kComparison || c->cmp_op != CompareOp::kEq) continue;
+    for (const auto& side : c->children) {
+      if (side->kind != ExprKind::kColumnRef || catalog == nullptr) continue;
+      int base_col = -1;
+      const LogicalScan* scan = resolve(side->column_index, &base_col);
+      if (scan == nullptr) continue;
+      Result<Table*> table = catalog->GetTable(scan->table_name);
+      if (!table.ok() || (*table)->primary_key_column() != base_col) continue;
+      double keyed = 1.0 / std::max(1.0, static_cast<double>((*table)->live_row_count()));
+      if (fraction == 0.0 || keyed < fraction) fraction = keyed;
+    }
+  }
+  return fraction == 0.0 ? 0.01 : fraction;
+}
+
+double JoinEstimate(double left, double right, double fraction) {
+  return std::max(1.0, left * right * fraction);
+}
+
 }  // namespace
 
 double EstimateCardinality(const LogicalOperator& plan, const Catalog* catalog) {
@@ -59,8 +131,14 @@ double EstimateCardinality(const LogicalOperator& plan, const Catalog* catalog) 
       double l = EstimateCardinality(*plan.children[0], catalog);
       double r = EstimateCardinality(*plan.children[1], catalog);
       const auto& join = static_cast<const LogicalJoin&>(plan);
-      double sel = join.condition == nullptr ? 1.0 : 0.01;
-      return std::max(1.0, l * r * sel);
+      std::vector<const Expr*> conjuncts;
+      if (join.condition != nullptr) {
+        ForEachConjunct(*join.condition, [&](const Expr& c) { conjuncts.push_back(&c); });
+      }
+      ColumnResolver resolve = [&plan](int col, int* base_col) {
+        return ResolveScanColumn(plan, col, base_col);
+      };
+      return JoinEstimate(l, r, JoinFraction(conjuncts, resolve, catalog));
     }
     case PlanKind::kAggregate: {
       double child = EstimateCardinality(*plan.children[0], catalog);
@@ -171,21 +249,20 @@ PlanPtr ReorderChain(PlanPtr root, const Catalog* catalog) {
   std::vector<std::vector<int>> touched;
   touched.reserve(conjuncts.size());
   for (auto& c : conjuncts) touched.push_back(TouchedLeaves(*c, leaves));
-
-  // Greedy order.
-  size_t n = leaves.size();
-  std::vector<bool> placed(n, false);
-  std::vector<int> order;
-  auto smallest = [&](const std::function<bool(int)>& admissible) {
-    int best = -1;
-    for (size_t i = 0; i < n; ++i) {
-      if (placed[i] || !admissible(static_cast<int>(i))) continue;
-      if (best < 0 || leaves[i].cardinality < leaves[best].cardinality) {
-        best = static_cast<int>(i);
+  // Conjuncts are in the original numbering until attached to a join.
+  ColumnResolver resolve = [&leaves](int col, int* base_col) -> const LogicalScan* {
+    for (const ChainLeaf& leaf : leaves) {
+      int leaf_width = static_cast<int>(leaf.plan->schema.size());
+      if (col >= leaf.old_offset && col < leaf.old_offset + leaf_width) {
+        return ResolveScanColumn(*leaf.plan, col - leaf.old_offset, base_col);
       }
     }
-    return best;
+    return nullptr;
   };
+
+  size_t n = leaves.size();
+  std::vector<bool> placed(n, false);
+  std::vector<bool> used(conjuncts.size(), false);
   auto connected = [&](int candidate) {
     for (size_t c = 0; c < conjuncts.size(); ++c) {
       bool touches_candidate = false;
@@ -198,70 +275,87 @@ PlanPtr ReorderChain(PlanPtr root, const Catalog* catalog) {
     }
     return false;
   };
-  order.push_back(smallest([](int) { return true; }));
-  placed[order[0]] = true;
-  while (order.size() < n) {
-    int next = smallest(connected);
-    if (next < 0) next = smallest([](int) { return true; });
-    order.push_back(next);
-    placed[next] = true;
-  }
-
-  // New column numbering: old global index -> new global index.
-  std::vector<int> new_offset(n, 0);
-  int acc = 0;
-  for (int l : order) {
-    new_offset[l] = acc;
-    acc += static_cast<int>(leaves[l].plan->schema.size());
-  }
-  std::vector<int> old_to_new(static_cast<size_t>(total_width), -1);
-  for (size_t l = 0; l < n; ++l) {
-    int width = static_cast<int>(leaves[l].plan->schema.size());
-    for (int i = 0; i < width; ++i) {
-      old_to_new[leaves[l].old_offset + i] = new_offset[l] + i;
-    }
-  }
-  for (auto& c : conjuncts) {
-    VisitScopeColumnRefs(*c, [&](int& idx) { idx = old_to_new[idx]; });
-  }
-
-  // Rebuild left-deep in the greedy order, attaching each conjunct at the
-  // first join where all the leaves it touches are available.
-  std::vector<bool> available(n, false);
-  available[order[0]] = true;
-  std::vector<bool> used(conjuncts.size(), false);
-  PlanPtr tree = leaves[order[0]].plan;
-  for (size_t step = 1; step < n; ++step) {
-    int l = order[step];
-    available[l] = true;
-    auto join = std::make_shared<LogicalJoin>();
-    join->children = {tree, leaves[l].plan};
-    join->schema = Schema::Concat(tree->schema, leaves[l].plan->schema);
-    std::vector<ExprPtr> here;
+  // The unattached conjuncts evaluable once `candidate` joins the tree.
+  auto attachable = [&](int candidate) {
+    std::vector<size_t> ready;
     for (size_t c = 0; c < conjuncts.size(); ++c) {
       if (used[c]) continue;
-      bool ready = true;
-      for (int t : touched[c]) ready = ready && available[t];
-      if (ready) {
-        here.push_back(std::move(conjuncts[c]));
-        used[c] = true;
-      }
+      bool all = true;
+      for (int t : touched[c]) all = all && (placed[t] || t == candidate);
+      if (all) ready.push_back(c);
     }
-    join->condition = CombineConjuncts(std::move(here));
+    return ready;
+  };
+  auto join_estimate = [&](double tree_card, int candidate,
+                           const std::vector<size_t>& here) {
+    std::vector<const Expr*> conds;
+    for (size_t c : here) conds.push_back(conjuncts[c].get());
+    return JoinEstimate(tree_card, leaves[candidate].cardinality,
+                        JoinFraction(conds, resolve, catalog));
+  };
+
+  // where[old global column] = that column's index in `tree`.
+  std::vector<int> where(static_cast<size_t>(total_width), -1);
+  auto place = [&](int l, int at) {
+    int leaf_width = static_cast<int>(leaves[l].plan->schema.size());
+    for (int i = 0; i < leaf_width; ++i) where[leaves[l].old_offset + i] = at + i;
+    placed[l] = true;
+  };
+
+  // Start from the smallest relation.
+  int first = 0;
+  for (size_t i = 1; i < n; ++i) {
+    if (leaves[i].cardinality < leaves[first].cardinality) first = static_cast<int>(i);
+  }
+  place(first, 0);
+  PlanPtr tree = leaves[first].plan;
+  double tree_card = leaves[first].cardinality;
+
+  for (size_t step = 1; step < n; ++step) {
+    // Attach the connected leaf with the smallest estimated join result
+    // (any leaf when none is connected: a cross product).
+    int next = -1;
+    double next_card = 0.0;
+    for (bool require_connection : {true, false}) {
+      for (size_t i = 0; i < n; ++i) {
+        int candidate = static_cast<int>(i);
+        if (placed[i] || (require_connection && !connected(candidate))) continue;
+        double card = join_estimate(tree_card, candidate, attachable(candidate));
+        if (next < 0 || card < next_card) {
+          next = candidate;
+          next_card = card;
+        }
+      }
+      if (next >= 0) break;
+    }
+    std::vector<size_t> here = attachable(next);
+
+    // HashJoinOp builds on its right input: the smaller side goes there.
+    PlanPtr leaf = leaves[next].plan;
+    const bool leaf_builds = leaves[next].cardinality <= tree_card;
+    if (leaf_builds) {
+      place(next, static_cast<int>(tree->schema.size()));
+    } else {
+      const int leaf_width = static_cast<int>(leaf->schema.size());
+      for (int& w : where) {
+        if (w >= 0) w += leaf_width;
+      }
+      place(next, 0);
+    }
+    auto join = std::make_shared<LogicalJoin>();
+    join->children = leaf_builds ? std::vector<PlanPtr>{tree, leaf}
+                                 : std::vector<PlanPtr>{leaf, tree};
+    join->schema = Schema::Concat(join->children[0]->schema, join->children[1]->schema);
+    std::vector<ExprPtr> conds;
+    for (size_t c : here) {
+      VisitScopeColumnRefs(*conjuncts[c], [&](int& idx) { idx = where[idx]; });
+      conds.push_back(std::move(conjuncts[c]));
+      used[c] = true;
+    }
+    join->condition = CombineConjuncts(std::move(conds));
     join->join_type = join->condition == nullptr ? JoinType::kCross : JoinType::kInner;
     tree = std::move(join);
-  }
-  // Leaf-less conjuncts (constants) -- rare, keep them as a filter on top.
-  std::vector<ExprPtr> leftovers;
-  for (size_t c = 0; c < conjuncts.size(); ++c) {
-    if (!used[c]) leftovers.push_back(std::move(conjuncts[c]));
-  }
-  if (!leftovers.empty()) {
-    auto filter = std::make_shared<LogicalFilter>();
-    filter->schema = tree->schema;
-    filter->predicate = CombineConjuncts(std::move(leftovers));
-    filter->children = {tree};
-    tree = std::move(filter);
+    tree_card = next_card;
   }
 
   // Restore the original column order so nothing above needs rewriting.
@@ -269,7 +363,7 @@ PlanPtr ReorderChain(PlanPtr root, const Catalog* catalog) {
   restore->schema = original_schema;
   restore->exprs.reserve(static_cast<size_t>(total_width));
   for (int i = 0; i < total_width; ++i) {
-    restore->exprs.push_back(MakeColumnRef(old_to_new[i],
+    restore->exprs.push_back(MakeColumnRef(where[i],
                                            original_schema.column(i).type,
                                            original_schema.column(i).name));
   }

@@ -115,7 +115,7 @@ std::string LogicalJoin::Describe() const {
       out = "CrossJoin";
       break;
   }
-  if (condition != nullptr) out += " " + condition->ToString();
+  if (condition != nullptr) out.append(" ").append(condition->ToString());
   return out;
 }
 

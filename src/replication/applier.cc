@@ -1,6 +1,7 @@
 #include "replication/applier.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <utility>
@@ -309,10 +310,21 @@ Status ReplicaApplier::HandleRecord(FrameChannel* channel, const Frame& frame) {
                             std::to_string(seq_));
   }
   epoch_ = frame.epoch;
+  // The follower's journal fires the same wal.* points as WalWriter's, so
+  // the crash matrices can kill a follower mid-append, mid-fsync and
+  // mid-seal as well as a primary.
+  SELTRIG_RETURN_IF_ERROR(fault::Maybe(fault_points::kWalAppend));
+  if (!fault::Maybe(fault_points::kWalTorn).ok()) {
+    // Torn-write crash mode, as in WalWriter::Append: persist (and fsync)
+    // half the record, then die. Errors only make the tear shorter.
+    (void)segment_.AppendPrefix(frame.payload.data(), frame.payload.size() / 2);
+    (void)segment_.Sync();
+    std::_Exit(FaultInjector::kCrashExitCode);
+  }
   SELTRIG_RETURN_IF_ERROR(
       segment_.Append(frame.payload.data(), frame.payload.size()));
   if (options_.fsync_before_ack) {
-    SELTRIG_RETURN_IF_ERROR(segment_.Sync());
+    SELTRIG_RETURN_IF_ERROR(SyncSegment());
   }
   offset_ += frame.payload.size();
 
@@ -380,6 +392,7 @@ Status ReplicaApplier::HandleSegmentSeal(FrameChannel* channel,
 
   // Materialize the named segment, byte-identical to the primary's (the
   // frame carries its header epoch), and move the tail onto it.
+  SELTRIG_RETURN_IF_ERROR(fault::Maybe(fault_points::kWalRotate));
   SELTRIG_RETURN_IF_ERROR(OpenSegment(frame.seq, frame.epoch));
   if (offset_ != frame.offset) {
     // A preexisting local segment of a different length: the layouts
@@ -389,7 +402,7 @@ Status ReplicaApplier::HandleSegmentSeal(FrameChannel* channel,
                             ", seal names " + std::to_string(frame.offset));
   }
   if (options_.fsync_before_ack) {
-    SELTRIG_RETURN_IF_ERROR(segment_.Sync());
+    SELTRIG_RETURN_IF_ERROR(SyncSegment());
   }
   epoch_ = std::max(epoch_, frame.epoch);
   {
@@ -505,6 +518,11 @@ Status ReplicaApplier::SendNak(FrameChannel* channel, const std::string& reason,
   nak.offset = offset_;
   nak.name = reason;
   return channel->Send(nak);
+}
+
+Status ReplicaApplier::SyncSegment() {
+  SELTRIG_RETURN_IF_ERROR(fault::Maybe(fault_points::kWalFsync));
+  return segment_.Sync();
 }
 
 Status ReplicaApplier::OpenSegment(uint64_t seq, uint64_t epoch) {

@@ -133,6 +133,8 @@ class ReplicaApplier {
   // Opens/creates the local segment file for (seq, epoch), writing the
   // header when the file is new.
   Status OpenSegment(uint64_t seq, uint64_t epoch);
+  // fsyncs the local segment (the follower's wal.fsync point).
+  Status SyncSegment();
 
   const std::string dir_;
   const ApplierOptions options_;

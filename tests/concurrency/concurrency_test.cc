@@ -187,7 +187,8 @@ TEST_F(ConcurrentSessionTest, ParallelGathersFromConcurrentSessionsMatchSerial) 
   std::string insert;
   for (int i = 1; i <= 20000; ++i) {
     if (insert.empty()) insert = "INSERT INTO wide VALUES ";
-    insert += "(" + std::to_string(i) + ", " + std::to_string(i % 997) + ")";
+    insert.append("(").append(std::to_string(i)).append(", ")
+        .append(std::to_string(i % 997)).append(")");
     if (i % 1000 == 0) {
       ASSERT_TRUE(db_.Execute(insert).ok());
       insert.clear();

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "engine/database.h"
 
@@ -23,6 +26,48 @@ std::vector<Row> Canonical(std::vector<Row> rows) {
   return rows;
 }
 
+// Base tables scanned under `node`, in plan order.
+std::vector<std::string> ScanTables(const LogicalOperator& node) {
+  std::vector<std::string> tables;
+  std::function<void(const LogicalOperator&)> walk = [&](const LogicalOperator& n) {
+    if (n.kind() == PlanKind::kScan) {
+      tables.push_back(static_cast<const LogicalScan&>(n).table_name);
+    }
+    for (const auto& child : n.children) walk(*child);
+  };
+  walk(node);
+  return tables;
+}
+
+// The inner/cross joins of the first join chain in `plan`, in pre-order
+// (column pruning may leave projections between them).
+std::vector<const LogicalOperator*> ChainJoins(const LogicalOperator& plan) {
+  std::vector<const LogicalOperator*> joins;
+  std::function<void(const LogicalOperator&)> collect = [&](const LogicalOperator& n) {
+    if (n.kind() == PlanKind::kProject) {
+      collect(*n.children[0]);
+      return;
+    }
+    if (n.kind() != PlanKind::kJoin) return;
+    auto type = static_cast<const LogicalJoin&>(n).join_type;
+    if (type != JoinType::kInner && type != JoinType::kCross) return;
+    joins.push_back(&n);
+    for (const auto& child : n.children) collect(*child);
+  };
+  std::function<bool(const LogicalOperator&)> find = [&](const LogicalOperator& n) {
+    if (n.kind() == PlanKind::kJoin) {
+      collect(n);
+      return true;
+    }
+    for (const auto& child : n.children) {
+      if (find(*child)) return true;
+    }
+    return false;
+  };
+  find(plan);
+  return joins;
+}
+
 class JoinReorderTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -30,8 +75,9 @@ class JoinReorderTest : public ::testing::Test {
     std::string big_rows;
     for (int i = 0; i < 200; ++i) {
       if (i > 0) big_rows += ", ";
-      big_rows += "(" + std::to_string(i) + ", " + std::to_string(i % 20) + ", " +
-                  std::to_string(i % 7) + ")";
+      big_rows.append("(").append(std::to_string(i)).append(", ")
+          .append(std::to_string(i % 20)).append(", ")
+          .append(std::to_string(i % 7)).append(")");
     }
     ASSERT_TRUE(db_.ExecuteScript(
         "CREATE TABLE big (bid INT PRIMARY KEY, mid_id INT, small_id INT);"
@@ -84,19 +130,121 @@ TEST_F(JoinReorderTest, ResultsUnchangedAcrossShapes) {
 }
 
 TEST_F(JoinReorderTest, SmallestRelationStartsTheChain) {
-  ExecOptions options;
-  auto r = db_.ExecuteWithOptions(
-      "EXPLAIN SELECT bid FROM big, mid, small "
+  auto plan = db_.PlanSelect(
+      "SELECT bid FROM big, mid, small "
+      "WHERE big.mid_id = mid.mid_id AND big.small_id = small.small_id");
+  ASSERT_TRUE(plan.ok());
+  // Greedy ordering starts from the smallest relation: it is one input of
+  // the deepest join. Being smaller than what it joins, it is that join's
+  // build (right) side.
+  std::vector<const LogicalOperator*> joins = ChainJoins(**plan);
+  ASSERT_EQ(joins.size(), 2u);
+  const LogicalOperator& deepest = *joins.back();
+  EXPECT_EQ(ScanTables(*deepest.children[1]), std::vector<std::string>{"small"});
+  EXPECT_EQ(ScanTables(*deepest.children[0]), std::vector<std::string>{"big"});
+}
+
+TEST_F(JoinReorderTest, BuildSideHasTheSmallerEstimate) {
+  const char* queries[] = {
+      "SELECT bid FROM big, mid, small "
       "WHERE big.mid_id = mid.mid_id AND big.small_id = small.small_id",
-      options);
-  ASSERT_TRUE(r.ok());
-  // In pre-order plan printing the chain's first-built (leftmost) relation is
-  // the first scan printed; greedy ordering starts from the smallest.
-  size_t big_pos = r->plan_text.find("Scan big");
-  size_t small_pos = r->plan_text.find("Scan small");
-  ASSERT_NE(big_pos, std::string::npos);
-  ASSERT_NE(small_pos, std::string::npos);
-  EXPECT_LT(small_pos, big_pos);
+      "SELECT bid, v, tag FROM big, mid, small "
+      "WHERE big.mid_id = mid.mid_id AND big.small_id = small.small_id "
+      "AND tag = 'c'",
+      "SELECT COUNT(*) FROM big b1, mid, small, big b2 "
+      "WHERE b1.mid_id = mid.mid_id AND b1.small_id = small.small_id "
+      "AND b2.bid = b1.bid",
+  };
+  for (const char* sql : queries) {
+    auto plan = db_.PlanSelect(sql);
+    ASSERT_TRUE(plan.ok()) << sql;
+    std::vector<const LogicalOperator*> joins = ChainJoins(**plan);
+    ASSERT_FALSE(joins.empty()) << sql;
+    for (const LogicalOperator* join : joins) {
+      double left = EstimateCardinality(*join->children[0], db_.catalog());
+      double right = EstimateCardinality(*join->children[1], db_.catalog());
+      EXPECT_LE(right, left) << sql;
+    }
+  }
+}
+
+TEST_F(JoinReorderTest, LeftJoinIsNeverSwapped) {
+  // The LEFT join is one relation of the reordered chain; its own inputs
+  // keep their sides even though the preserved side is the smaller one.
+  const std::string sql =
+      "SELECT small.small_id, bid, v FROM small LEFT JOIN big "
+      "ON small.small_id = big.small_id AND big.bid < 50, mid, small s2 "
+      "WHERE big.mid_id = mid.mid_id AND s2.small_id = small.small_id";
+  auto plan = db_.PlanSelect(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_GE(ChainJoins(**plan).size(), 2u);
+  int left_joins = 0;
+  std::function<void(const LogicalOperator&)> walk = [&](const LogicalOperator& node) {
+    if (node.kind() == PlanKind::kJoin &&
+        static_cast<const LogicalJoin&>(node).join_type == JoinType::kLeft) {
+      ++left_joins;
+      EXPECT_EQ(ScanTables(*node.children[0]), std::vector<std::string>{"small"});
+      EXPECT_EQ(ScanTables(*node.children[1]), std::vector<std::string>{"big"});
+    }
+    for (const auto& child : node.children) walk(*child);
+  };
+  walk(**plan);
+  EXPECT_EQ(left_joins, 1);
+  std::vector<Row> off = Canonical(Rows(sql, false));
+  std::vector<Row> on = Canonical(Rows(sql, true));
+  EXPECT_EQ(on, off);
+  EXPECT_FALSE(on.empty());
+}
+
+TEST_F(JoinReorderTest, GreedyPrefersThePrimaryKeySide) {
+  // Q7's shape: once supp and cust are joined, `line` is the smaller base
+  // relation, but it joins on supp's primary key (8 line rows per supplier)
+  // while `ord` joins on cust's (2 orders per customer). Attaching the
+  // smaller intermediate result means `ord` first and `line` last.
+  std::string supp, cust, ord, line;
+  for (int i = 0; i < 10; ++i) {
+    supp.append(i > 0 ? ", (" : "(").append(std::to_string(i)).append(", ")
+        .append(std::to_string(i % 5)).append(")");
+  }
+  for (int i = 0; i < 50; ++i) {
+    cust.append(i > 0 ? ", (" : "(").append(std::to_string(i)).append(", ")
+        .append(std::to_string(i % 5)).append(")");
+  }
+  for (int i = 0; i < 100; ++i) {
+    ord.append(i > 0 ? ", (" : "(").append(std::to_string(i)).append(", ")
+        .append(std::to_string(i % 50)).append(")");
+  }
+  for (int i = 0; i < 80; ++i) {
+    line.append(i > 0 ? ", (" : "(").append(std::to_string(i % 100)).append(", ")
+        .append(std::to_string(i % 10)).append(")");
+  }
+  ASSERT_TRUE(db_.ExecuteScript(
+      "CREATE TABLE supp (sk INT PRIMARY KEY, snk INT);"
+      "CREATE TABLE cust (ck INT PRIMARY KEY, cnk INT);"
+      "CREATE TABLE ord (ordk INT PRIMARY KEY, ock INT);"
+      "CREATE TABLE line (lok INT, lsk INT);"
+      "INSERT INTO supp VALUES " + supp + ";"
+      "INSERT INTO cust VALUES " + cust + ";"
+      "INSERT INTO ord VALUES " + ord + ";"
+      "INSERT INTO line VALUES " + line + ";").ok());
+  const std::string sql =
+      "SELECT sk, ck, ordk FROM supp, line, ord, cust "
+      "WHERE sk = lsk AND ordk = lok AND ck = ock AND snk = cnk";
+  auto plan = db_.PlanSelect(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::vector<const LogicalOperator*> joins = ChainJoins(**plan);
+  ASSERT_EQ(joins.size(), 3u);
+  // `line` is attached last: it is a direct input of the chain's top join.
+  const LogicalOperator& top = *joins.front();
+  bool line_last = false;
+  for (const auto& child : top.children) {
+    line_last = line_last || ScanTables(*child) == std::vector<std::string>{"line"};
+  }
+  EXPECT_TRUE(line_last) << PlanToString(**plan);
+  std::vector<Row> off = Canonical(Rows(sql, false));
+  std::vector<Row> on = Canonical(Rows(sql, true));
+  EXPECT_EQ(on, off);
+  EXPECT_FALSE(on.empty());
 }
 
 TEST_F(JoinReorderTest, EstimateCardinalitySanity) {

@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+
 #include "audit/accessed_state.h"
 #include "audit/sensitive_id_view.h"
 #include "catalog/catalog.h"
 #include "exec/executor.h"
+#include "expr/analysis.h"
 
 namespace seltrig {
 namespace {
@@ -129,6 +134,130 @@ TEST_F(OperatorsTest, HashJoinSkipsNullKeys) {
                                    MakeColumnRef(2, TypeId::kInt));
   // NULL keys never match.
   EXPECT_EQ(Run(*join).size(), 1u);
+}
+
+// Two-key hash joins `l.a = r.a AND l.b = r.b` over hand-filled tables,
+// checked as a bag against every (l, r) pair whose keys are non-NULL and
+// compare equal under Value::Compare. Column 0 of each table tags its rows.
+class PairKeyJoinTest : public OperatorsTest {
+ protected:
+  std::shared_ptr<LogicalScan> Fill(const std::string& name, const std::vector<Row>& rows) {
+    Schema schema;
+    for (const char* col : {"id", "a", "b"}) {
+      schema.AddColumn({col, name, TypeId::kInt, true});
+    }
+    auto table = catalog_.CreateTable(name, schema, -1);
+    EXPECT_TRUE(table.ok());
+    for (const Row& row : rows) EXPECT_TRUE((*table)->Insert(row).ok());
+    auto scan = std::make_shared<LogicalScan>();
+    scan->table_name = name;
+    scan->alias = name;
+    scan->schema = schema;
+    return scan;
+  }
+
+  static std::vector<std::pair<int64_t, int64_t>> Tags(const std::vector<Row>& rows) {
+    std::vector<std::pair<int64_t, int64_t>> tags;
+    for (const Row& row : rows) tags.emplace_back(row[0].AsInt(), row[3].AsInt());
+    std::sort(tags.begin(), tags.end());
+    return tags;
+  }
+
+  // `probe` is the left (probe) input, `build` the right (build) input.
+  void ExpectMatchesOracle(const std::vector<Row>& probe, const std::vector<Row>& build) {
+    auto join = std::make_shared<LogicalJoin>();
+    join->join_type = JoinType::kInner;
+    const std::string suffix = std::to_string(joins_++);
+    join->children = {Fill("l" + suffix, probe), Fill("r" + suffix, build)};
+    join->schema = Schema::Concat(join->children[0]->schema, join->children[1]->schema);
+    std::vector<ExprPtr> keys;
+    keys.push_back(MakeComparison(CompareOp::kEq, MakeColumnRef(1, TypeId::kInt),
+                                  MakeColumnRef(4, TypeId::kInt)));
+    keys.push_back(MakeComparison(CompareOp::kEq, MakeColumnRef(2, TypeId::kInt),
+                                  MakeColumnRef(5, TypeId::kInt)));
+    join->condition = CombineConjuncts(std::move(keys));
+
+    std::vector<std::pair<int64_t, int64_t>> expected;
+    for (const Row& l : probe) {
+      for (const Row& r : build) {
+        bool match = true;
+        for (size_t k : {1u, 2u}) {
+          match = match && !l[k].is_null() && !r[k].is_null() &&
+                  Value::Compare(l[k], r[k]) == 0;
+        }
+        if (match) expected.emplace_back(l[0].AsInt(), r[0].AsInt());
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(Tags(Run(*join)), expected);
+  }
+
+  int joins_ = 0;
+};
+
+TEST_F(PairKeyJoinTest, NullInEitherKeyComponentNeverMatches) {
+  ExpectMatchesOracle(
+      {{Value::Int(1), Value::Int(1), Value::Int(2)},
+       {Value::Int(2), Value::Null(), Value::Int(2)},
+       {Value::Int(3), Value::Int(1), Value::Null()}},
+      {{Value::Int(10), Value::Int(1), Value::Int(2)},
+       {Value::Int(11), Value::Null(), Value::Int(2)},
+       {Value::Int(12), Value::Int(1), Value::Null()},
+       {Value::Int(13), Value::Null(), Value::Null()}});
+}
+
+TEST_F(PairKeyJoinTest, ComponentOutsideInt32DegradesMidBuild) {
+  // The int32-packable rows come first, so the build starts on the packed
+  // path and migrates its entries to the generic table at the wide key.
+  const int64_t wide = int64_t{1} << 40;
+  ExpectMatchesOracle(
+      {{Value::Int(1), Value::Int(1), Value::Int(2)},
+       {Value::Int(2), Value::Int(3), Value::Int(-4)},
+       {Value::Int(3), Value::Int(5), Value::Int(wide)},
+       {Value::Int(4), Value::Int(INT32_MIN), Value::Int(INT32_MAX)},
+       {Value::Int(5), Value::Int(1), Value::Int(wide + 2)}},
+      {{Value::Int(10), Value::Int(1), Value::Int(2)},
+       {Value::Int(11), Value::Int(3), Value::Int(-4)},
+       {Value::Int(12), Value::Int(INT32_MIN), Value::Int(INT32_MAX)},
+       {Value::Int(13), Value::Int(5), Value::Int(wide)},
+       {Value::Int(14), Value::Int(1), Value::Int(2)}});
+  // A wide probe key against an all-packable build matches nothing.
+  ExpectMatchesOracle(
+      {{Value::Int(1), Value::Int(wide), Value::Int(2)},
+       {Value::Int(2), Value::Int(1), Value::Int(2)}},
+      {{Value::Int(10), Value::Int(1), Value::Int(2)},
+       {Value::Int(11), Value::Int(static_cast<int32_t>(wide)), Value::Int(2)}});
+}
+
+TEST_F(PairKeyJoinTest, IntAndDoubleKeysCompareEqual) {
+  // Doubles on the probe side: integral ones find their Int build keys,
+  // fractional and out-of-range ones find nothing.
+  ExpectMatchesOracle(
+      {{Value::Int(1), Value::Double(1.0), Value::Int(2)},
+       {Value::Int(2), Value::Int(1), Value::Double(2.5)},
+       {Value::Int(3), Value::Double(3.0), Value::Double(-4.0)},
+       {Value::Int(4), Value::Double(1e12), Value::Int(2)},
+       {Value::Int(5), Value::String("1"), Value::Int(2)}},
+      {{Value::Int(10), Value::Int(1), Value::Int(2)},
+       {Value::Int(11), Value::Int(3), Value::Int(-4)}});
+  // A Double on the build side degrades to the generic table, which keeps
+  // the same equality.
+  ExpectMatchesOracle(
+      {{Value::Int(1), Value::Int(1), Value::Int(2)},
+       {Value::Int(2), Value::Int(3), Value::Int(-4)}},
+      {{Value::Int(10), Value::Int(1), Value::Int(2)},
+       {Value::Int(11), Value::Double(3.0), Value::Int(-4)}});
+}
+
+TEST_F(PairKeyJoinTest, DuplicateBuildKeysAllMatch) {
+  ExpectMatchesOracle(
+      {{Value::Int(1), Value::Int(7), Value::Int(8)},
+       {Value::Int(2), Value::Int(7), Value::Int(8)},
+       {Value::Int(3), Value::Int(8), Value::Int(7)}},
+      {{Value::Int(10), Value::Int(7), Value::Int(8)},
+       {Value::Int(11), Value::Int(7), Value::Int(8)},
+       {Value::Int(12), Value::Int(7), Value::Int(8)},
+       {Value::Int(13), Value::Int(8), Value::Int(7)}});
 }
 
 TEST_F(OperatorsTest, LeftJoinAgainstEmptyRightPadsAllRows) {

@@ -7,7 +7,9 @@
 namespace seltrig {
 namespace {
 
-ExprPtr Col(int i) { return MakeColumnRef(i, TypeId::kInt, "c" + std::to_string(i)); }
+ExprPtr Col(int i) {
+  return MakeColumnRef(i, TypeId::kInt, std::string("c").append(std::to_string(i)));
+}
 ExprPtr Lit(int64_t v) { return MakeLiteral(Value::Int(v)); }
 ExprPtr Cmp(CompareOp op, ExprPtr l, ExprPtr r) {
   return MakeComparison(op, std::move(l), std::move(r));

@@ -38,13 +38,13 @@ class JoinEquivalenceTest : public ::testing::TestWithParam<int> {
     std::string l_rows, r_rows;
     for (int i = 0; i < 20; ++i) {
       if (i > 0) l_rows += ", ";
-      l_rows += "(" + std::to_string(i) + ", " +
-                std::to_string((i * 7 + seed) % 6) + ")";
+      l_rows.append("(").append(std::to_string(i)).append(", ")
+          .append(std::to_string((i * 7 + seed) % 6)).append(")");
     }
     for (int i = 0; i < 15; ++i) {
       if (i > 0) r_rows += ", ";
-      r_rows += "(" + std::to_string((i * 5 + seed) % 6) + ", " +
-                std::to_string(i % 4) + ")";
+      r_rows.append("(").append(std::to_string((i * 5 + seed) % 6)).append(", ")
+          .append(std::to_string(i % 4)).append(")");
     }
     ASSERT_TRUE(db_.ExecuteScript(
         "CREATE TABLE lhs (id INT PRIMARY KEY, k INT);"
@@ -125,8 +125,9 @@ TEST_P(AggregateConsistencyTest, Identities) {
   int n = 10 + seed * 3;
   for (int i = 0; i < n; ++i) {
     if (i > 0) rows += ", ";
-    rows += "(" + std::to_string(i) + ", " + std::to_string((i * 13 + seed) % 7) +
-            ", " + std::to_string((i * i + seed) % 19) + ")";
+    rows.append("(").append(std::to_string(i)).append(", ")
+        .append(std::to_string((i * 13 + seed) % 7)).append(", ")
+        .append(std::to_string((i * i + seed) % 19)).append(")");
   }
   ASSERT_TRUE(db.ExecuteScript(
       "CREATE TABLE t (id INT PRIMARY KEY, g INT, v INT);"
@@ -166,7 +167,8 @@ TEST_P(TopKPrefixTest, LimitIsPrefixOfFullSort) {
   std::string rows;
   for (int i = 0; i < 17; ++i) {
     if (i > 0) rows += ", ";
-    rows += "(" + std::to_string(i) + ", " + std::to_string((i * 11) % 23) + ")";
+    rows.append("(").append(std::to_string(i)).append(", ")
+        .append(std::to_string((i * 11) % 23)).append(")");
   }
   ASSERT_TRUE(db.ExecuteScript(
       "CREATE TABLE t (id INT PRIMARY KEY, v INT);"

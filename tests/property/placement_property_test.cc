@@ -108,14 +108,21 @@ class PlacementPropertyTest : public ::testing::TestWithParam<int> {
     int n_people = rng.Int(8, 20);
     for (int i = 1; i <= n_people; ++i) {
       if (i > 1) people_rows += ", ";
-      people_rows += "(" + std::to_string(i) + ", " + std::to_string(rng.Int(0, 4)) +
-                     ", " + std::to_string(rng.Int(0, 100)) + ")";
+      // v is drawn before grp, and w before pid below: each seed's tables
+      // depend on the draw order.
+      const int v = rng.Int(0, 100);
+      const int grp = rng.Int(0, 4);
+      people_rows.append("(").append(std::to_string(i)).append(", ")
+          .append(std::to_string(grp)).append(", ")
+          .append(std::to_string(v)).append(")");
     }
     int n_rel = rng.Int(5, 25);
     for (int i = 0; i < n_rel; ++i) {
       if (i > 0) rel_rows += ", ";
-      rel_rows += "(" + std::to_string(rng.Int(1, n_people)) + ", " +
-                  std::to_string(rng.Int(0, 50)) + ")";
+      const int w = rng.Int(0, 50);
+      const int pid = rng.Int(1, n_people);
+      rel_rows.append("(").append(std::to_string(pid)).append(", ")
+          .append(std::to_string(w)).append(")");
     }
     ASSERT_TRUE(db_.ExecuteScript(
         "CREATE TABLE people (id INT PRIMARY KEY, grp INT, v INT);"

@@ -1,6 +1,9 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <mutex>
 
 namespace seltrig {
 
@@ -50,23 +53,28 @@ void ThreadPool::RunAndWait(int n, const std::function<void(int)>& fn) {
     if (n == 1) fn(0);
     return;
   }
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  int remaining = n - 1;
-  for (int i = 1; i < n; ++i) {
-    Submit([&, i] {
+  // Pool tasks are claim tokens: each runs the next unclaimed index, and so
+  // does the caller, so the caller never waits for a pool thread that has not
+  // woken up yet. A token that wakes after every index is claimed touches
+  // only `state`, which it co-owns; it never calls fn.
+  struct State {
+    std::atomic<int> next{0};
+    std::mutex mutex;
+    std::condition_variable done;
+    int finished = 0;  // indexes whose fn returned; guarded by mutex
+  };
+  auto state = std::make_shared<State>();
+  auto drain = [state, &fn, n] {
+    for (int i = state->next.fetch_add(1); i < n; i = state->next.fetch_add(1)) {
       fn(i);
-      // Notify *while holding* done_mutex: done_cv lives on the caller's
-      // stack, and the caller may destroy it the moment it observes
-      // remaining == 0 -- which it can't do before this unlock.
-      std::lock_guard<std::mutex> lock(done_mutex);
-      --remaining;
-      done_cv.notify_one();
-    });
-  }
-  fn(0);
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining == 0; });
+      std::lock_guard<std::mutex> lock(state->mutex);
+      if (++state->finished == n) state->done.notify_one();
+    }
+  };
+  for (int i = 1; i < n; ++i) Submit(drain);
+  drain();
+  std::unique_lock<std::mutex> lock(state->mutex);
+  state->done.wait(lock, [&] { return state->finished == n; });
 }
 
 ThreadPool& ThreadPool::Shared() {

@@ -4,8 +4,9 @@
 //
 // Tasks must be self-contained — a task never blocks on another task's
 // completion, so a pool of any size makes progress. Parallel scans submit
-// one self-draining morsel loop per worker and the *calling* thread runs
-// worker 0 inline, so a query is never stalled waiting for a free pool slot.
+// one self-draining morsel loop per worker and the *calling* thread claims
+// workers too, so a query is never stalled waiting for a free pool slot or
+// for a pool thread to wake up.
 
 #ifndef SELTRIG_COMMON_THREAD_POOL_H_
 #define SELTRIG_COMMON_THREAD_POOL_H_
@@ -34,9 +35,11 @@ class ThreadPool {
   // Enqueues `fn` for execution on some pool thread.
   void Submit(std::function<void()> fn) SELTRIG_EXCLUDES(mutex_);
 
-  // Runs fn(0) .. fn(n-1): fn(0) inline on the calling thread, the rest on
-  // pool threads. Returns after every invocation has finished. With n <= 1
-  // this degenerates to a plain inline call (no synchronization at all).
+  // Runs fn(0) .. fn(n-1), each exactly once: the calling thread and n-1
+  // pool tasks claim indexes in turn, so an index no pool thread has reached
+  // by the time the caller is free runs inline. Returns after every
+  // invocation has finished. With n <= 1 this degenerates to a plain inline
+  // call (no synchronization at all).
   void RunAndWait(int n, const std::function<void(int)>& fn);
 
   // Process-wide pool, sized for the engine's maximum supported parallelism

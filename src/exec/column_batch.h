@@ -17,10 +17,12 @@
 // selection would silently corrupt the logical view, so the producer API
 // asserts against it in debug builds.
 //
-// Thread confinement: a batch lives on one thread (a serial statement or a
-// single morsel worker) for its whole lifetime — no locks, no annotations.
-// View bindings are safe across workers because the statement holds the
-// engine's shared storage lock for its full duration (docs/STATIC_ANALYSIS.md).
+// Thread confinement: a batch is used by one thread at a time (a serial
+// statement, or a morsel worker that fills it and then hands it to the
+// gathering thread after the workers join) — no locks, no annotations. View
+// bindings stay valid across workers and until the statement ends because
+// the statement holds the engine's shared storage lock for its full duration
+// (docs/STATIC_ANALYSIS.md).
 
 #ifndef SELTRIG_EXEC_COLUMN_BATCH_H_
 #define SELTRIG_EXEC_COLUMN_BATCH_H_
@@ -45,6 +47,9 @@ class ColumnBatch {
 
   ColumnBatch(const ColumnBatch&) = delete;
   ColumnBatch& operator=(const ColumnBatch&) = delete;
+  // Movable, so a morsel gather can hand worker batches through whole.
+  ColumnBatch(ColumnBatch&&) = default;
+  ColumnBatch& operator=(ColumnBatch&&) = default;
 
   // --- Logical (selected) view ----------------------------------------------
   size_t size() const { return has_selection_ ? selection_.size() : count_; }

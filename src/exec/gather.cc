@@ -52,35 +52,36 @@ const LogicalScan* ParallelSpineScan(const LogicalOperator& node) {
 
 namespace {
 
-// Builds a worker-private copy of the spine over the slot range [begin, end).
-// Only the node kinds ParallelSpineScan admits can appear here.
+// Builds a worker-private copy of the spine and points *scan_op at its scan,
+// which each morsel re-ranges. Only the node kinds ParallelSpineScan admits
+// can appear here.
 OperatorPtr BuildSpine(ExecContext* ctx, const LogicalOperator& node,
-                       Table* table, size_t begin, size_t end) {
+                       Table* table, SeqScanOp** scan_op) {
   switch (node.kind()) {
     case PlanKind::kScan: {
       const auto& scan = static_cast<const LogicalScan&>(node);
       auto op = std::make_unique<SeqScanOp>(ctx, std::vector<const Row*>{},
                                             scan, table);
-      op->set_slot_range(begin, end);
+      *scan_op = op.get();
       return op;
     }
     case PlanKind::kFilter: {
       const auto& filter = static_cast<const LogicalFilter&>(node);
       return std::make_unique<FilterOp>(
           ctx, std::vector<const Row*>{}, filter,
-          BuildSpine(ctx, *node.children[0], table, begin, end));
+          BuildSpine(ctx, *node.children[0], table, scan_op));
     }
     case PlanKind::kProject: {
       const auto& project = static_cast<const LogicalProject&>(node);
       return std::make_unique<ProjectOp>(
           ctx, std::vector<const Row*>{}, project,
-          BuildSpine(ctx, *node.children[0], table, begin, end));
+          BuildSpine(ctx, *node.children[0], table, scan_op));
     }
     case PlanKind::kAudit: {
       const auto& audit = static_cast<const LogicalAudit&>(node);
       return std::make_unique<PhysicalAuditOp>(
           ctx, std::vector<const Row*>{}, audit,
-          BuildSpine(ctx, *node.children[0], table, begin, end));
+          BuildSpine(ctx, *node.children[0], table, scan_op));
     }
     default:
       return nullptr;  // unreachable: eligibility checked the tree
@@ -118,7 +119,7 @@ void PhysicalGatherOp::AppendProfileLines(int indent, std::string* out) const {
 }
 
 Status PhysicalGatherOp::InitImpl() {
-  rows_.clear();
+  batches_.clear();
   cursor_ = 0;
   spine_stats_.clear();
 
@@ -136,12 +137,15 @@ Status PhysicalGatherOp::InitImpl() {
     std::unique_ptr<ExecContext> ctx;
     AccessedStateRegistry registry;
     Status status = Status::OK();
-    std::vector<SpineStat> stats;
+    // Built on the worker's first morsel, then re-ranged and re-initialized
+    // for each further one; its profile counters accumulate across morsels.
+    OperatorPtr root;
+    SeqScanOp* scan = nullptr;
   };
   std::vector<WorkerState> states(static_cast<size_t>(workers));
-  // Output buffer per morsel: concatenating in morsel order reproduces the
+  // Output batches per morsel: concatenating in morsel order reproduces the
   // serial scan order exactly, independent of which worker ran which morsel.
-  std::vector<std::vector<Row>> morsel_rows(morsel_count);
+  std::vector<std::vector<ColumnBatch>> morsel_batches(morsel_count);
   std::atomic<size_t> next_morsel{0};
   const bool track_accessed = ctx_->accessed() != nullptr;
 
@@ -161,44 +165,29 @@ Status PhysicalGatherOp::InitImpl() {
     while (true) {
       const size_t m = next_morsel.fetch_add(1, std::memory_order_relaxed);
       if (m >= morsel_count) return;
-      const size_t begin = m * kMorselSlots;
-      const size_t end = std::min(begin + kMorselSlots, slots);
-      OperatorPtr root = BuildSpine(ws.ctx.get(), spine_, table_, begin, end);
-      if (root == nullptr) {
-        ws.status = Status::Internal("gather: unbuildable spine node");
-        return;
+      if (ws.root == nullptr) {
+        ws.root = BuildSpine(ws.ctx.get(), spine_, table_, &ws.scan);
+        if (ws.root == nullptr) {
+          ws.status = Status::Internal("gather: unbuildable spine node");
+          return;
+        }
       }
-      Status init = root->Init();
+      const size_t begin = m * kMorselSlots;
+      ws.scan->set_slot_range(begin, std::min(begin + kMorselSlots, slots));
+      Status init = ws.root->Init();
       if (!init.ok()) {
         if (ws.status.ok()) ws.status = init;
         return;
       }
-      std::vector<Row>& out_rows = morsel_rows[m];
-      ColumnBatch batch;
       while (true) {
-        Result<bool> has = root->NextBatch(&batch);
+        ColumnBatch batch;
+        Result<bool> has = ws.root->NextBatch(&batch);
         if (!has.ok()) {
           if (ws.status.ok()) ws.status = has.status();
           return;
         }
         if (!*has) break;
-        for (size_t i = 0; i < batch.size(); ++i) {
-          out_rows.emplace_back();
-          batch.MoveRowTo(i, &out_rows.back());
-        }
-      }
-      // Fold this morsel's per-operator profiles into the worker's running
-      // sums (root first) before the pipeline is destroyed.
-      const PhysicalOperator* op = root.get();
-      for (size_t pos = 0; op != nullptr; ++pos) {
-        if (ws.stats.size() <= pos) ws.stats.push_back({op->DebugName(), {}});
-        OperatorProfile& agg = ws.stats[pos].profile;
-        agg.batches += op->profile().batches;
-        agg.rows_out += op->profile().rows_out;
-        agg.init_ns += op->profile().init_ns;
-        agg.next_ns += op->profile().next_ns;
-        op = op->profile_children().empty() ? nullptr
-                                            : op->profile_children()[0];
+        if (!batch.empty()) morsel_batches[m].push_back(std::move(batch));
       }
     }
   };
@@ -233,37 +222,32 @@ Status PhysicalGatherOp::InitImpl() {
       }
     }
   }
-  // Worker profiles: sum position-wise across workers (every worker ran the
-  // same spine shape).
+  // Worker profiles: sum position-wise (root first) across workers, before
+  // their spines are destroyed (every worker built the same spine shape).
   for (const WorkerState& ws : states) {
-    for (size_t pos = 0; pos < ws.stats.size(); ++pos) {
+    const PhysicalOperator* op = ws.root.get();
+    for (size_t pos = 0; op != nullptr; ++pos) {
       if (spine_stats_.size() <= pos) {
-        spine_stats_.push_back({ws.stats[pos].name, {}});
+        spine_stats_.push_back({op->DebugName(), {}});
       }
       OperatorProfile& agg = spine_stats_[pos].profile;
-      agg.batches += ws.stats[pos].profile.batches;
-      agg.rows_out += ws.stats[pos].profile.rows_out;
-      agg.init_ns += ws.stats[pos].profile.init_ns;
-      agg.next_ns += ws.stats[pos].profile.next_ns;
+      agg.batches += op->profile().batches;
+      agg.rows_out += op->profile().rows_out;
+      agg.init_ns += op->profile().init_ns;
+      agg.next_ns += op->profile().next_ns;
+      op = op->profile_children().empty() ? nullptr : op->profile_children()[0];
     }
   }
 
-  size_t total_rows = 0;
-  for (const auto& m : morsel_rows) total_rows += m.size();
-  rows_.reserve(total_rows);
-  for (auto& m : morsel_rows) {
-    for (Row& r : m) rows_.push_back(std::move(r));
+  for (auto& m : morsel_batches) {
+    for (ColumnBatch& b : m) batches_.push_back(std::move(b));
   }
   return Status::OK();
 }
 
 Result<bool> PhysicalGatherOp::NextBatchImpl(ColumnBatch* out) {
-  if (cursor_ >= rows_.size()) return false;
-  out->ResetOwned(rows_[cursor_].size());
-  const size_t n = std::min(batch_capacity_, rows_.size() - cursor_);
-  for (size_t i = 0; i < n; ++i) {
-    out->AppendRow(std::move(rows_[cursor_++]));
-  }
+  if (cursor_ >= batches_.size()) return false;
+  *out = std::move(batches_[cursor_++]);
   return true;
 }
 

@@ -31,10 +31,11 @@ inline constexpr size_t kMorselSlots = 4096;
 const LogicalScan* ParallelSpineScan(const LogicalOperator& node);
 
 // Replaces an eligible spine: fans morsels out to ThreadPool::Shared(),
-// materializes every worker's output, then streams the concatenation in
-// morsel order. The executor mounts it only for uncorrelated,
-// uncapped-spine plans when ExecContext::num_threads() > 1 and any attached
-// ACCESSED registry is uncapped (see Executor::BuildNode).
+// keeps every worker's output batches as produced, then hands them out whole
+// in morsel order (view batches stay zero-copy table bindings). The executor
+// mounts it only for uncorrelated, uncapped-spine plans when
+// ExecContext::num_threads() > 1 and any attached ACCESSED registry is
+// uncapped (see Executor::BuildNode).
 class PhysicalGatherOp : public PhysicalOperator {
  public:
   PhysicalGatherOp(ExecContext* ctx, const LogicalOperator& spine,
@@ -58,7 +59,7 @@ class PhysicalGatherOp : public PhysicalOperator {
   const LogicalScan& scan_;
   Table* table_;
 
-  std::vector<Row> rows_;  // concatenated worker output, morsel order
+  std::vector<ColumnBatch> batches_;  // worker output batches, morsel order
   size_t cursor_ = 0;
   int workers_used_ = 0;
 

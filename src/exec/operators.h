@@ -144,9 +144,10 @@ class SeqScanOp : public PhysicalOperator {
   std::string DebugName() const override;
 
   // Restricts the scan to the slot range [begin, end) — one morsel of a
-  // parallel scan. Range mode never probes the secondary index (the morsel
-  // owns its slots outright; eligibility already excluded indexable filters)
-  // and is only meaningful for base-table scans.
+  // parallel scan — from the next Init on, so one scan can run morsel after
+  // morsel. Range mode never probes the secondary index (the morsel owns its
+  // slots outright; eligibility already excluded indexable filters) and is
+  // only meaningful for base-table scans.
   void set_slot_range(size_t begin, size_t end) {
     slot_begin_ = begin;
     slot_end_ = end;

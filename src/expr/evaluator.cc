@@ -392,7 +392,19 @@ Status EvalPredicateBatch(const Expr& pred, EvalContext& ctx, ColumnBatch* batch
 }
 
 std::optional<SimplePredicate> SimplePredicate::Compile(const Expr& pred) {
-  if (pred.kind != ExprKind::kComparison) return std::nullopt;
+  std::vector<Term> terms;
+  if (!CompileTerms(pred, &terms)) return std::nullopt;
+  return SimplePredicate(std::move(terms));
+}
+
+bool SimplePredicate::CompileTerms(const Expr& pred, std::vector<Term>* terms) {
+  // In a WHERE, `a AND b` passes iff both pass; a NULL or false conjunct
+  // rejects the row either way, so the terms can be decided one by one.
+  if (pred.kind == ExprKind::kLogical && pred.logical_op == LogicalOp::kAnd) {
+    return CompileTerms(*pred.children[0], terms) &&
+           CompileTerms(*pred.children[1], terms);
+  }
+  if (pred.kind != ExprKind::kComparison) return false;
   const Expr& lhs = *pred.children[0];
   const Expr& rhs = *pred.children[1];
   const Expr* col = nullptr;
@@ -421,12 +433,13 @@ std::optional<SimplePredicate> SimplePredicate::Compile(const Expr& pred) {
         break;
     }
   } else {
-    return std::nullopt;
+    return false;
   }
   // A NULL literal never passes through EvalComparison; leave that (and any
   // unbound column) to the generic path.
-  if (lit->literal.is_null() || col->column_index < 0) return std::nullopt;
-  return SimplePredicate(col->column_index, op, lit->literal);
+  if (lit->literal.is_null() || col->column_index < 0) return false;
+  terms->push_back(Term{col->column_index, op, lit->literal});
+  return true;
 }
 
 namespace {
@@ -434,8 +447,9 @@ namespace {
 // Typed filter kernels: for each logical row of `batch`, reads column data
 // straight from contiguous table storage and appends the physical index of
 // every passing row to `keep`. Each kernel makes exactly the decisions
-// SimplePredicate::Decide would — NULL rejects, then Value::Compare semantics
-// for the (column type, constant type) pair — without constructing a Value.
+// SimplePredicate::Term::Decide would — NULL rejects, then Value::Compare
+// semantics for the (column type, constant type) pair — without constructing
+// a Value.
 
 template <typename DecideFn, typename CmpFn>
 void FilterTyped(const ColumnBatch& batch, const TableColumn& col,
@@ -463,39 +477,39 @@ int Sign3(int64_t a, int64_t b) { return a < b ? -1 : (a > b ? 1 : 0); }
 
 }  // namespace
 
-void SimplePredicate::FilterBatch(ColumnBatch* batch) const {
+void SimplePredicate::Term::FilterBatch(ColumnBatch* batch) const {
   size_t n = batch->size();
   if (n == 0) return;
   std::vector<uint32_t> keep;
   keep.reserve(n);
 
-  const ColumnVector& cv = batch->column(static_cast<size_t>(column_));
+  const ColumnVector& cv = batch->column(static_cast<size_t>(column));
   const TableColumn* view = cv.view();
   auto decide = [this](int c) { return DecideCmp(c); };
   bool typed = false;
   if (view != nullptr && view->rep() != TableColumn::Rep::kValue) {
     const TypeId col_type = view->type();
-    const TypeId const_type = constant_.type();
+    const TypeId const_type = constant.type();
     typed = true;
     if (view->rep() == TableColumn::Rep::kInt64 && col_type == TypeId::kInt &&
         const_type == TypeId::kInt) {
       // Int vs int: exact 64-bit compare.
       const int64_t* data = view->ints();
-      const int64_t c = constant_.AsInt();
+      const int64_t c = constant.AsInt();
       FilterTyped(*batch, *view, decide,
                   [&](size_t p) { return Sign3(data[p], c); }, &keep);
     } else if (view->rep() == TableColumn::Rep::kInt64 &&
                col_type == TypeId::kInt && const_type == TypeId::kDouble) {
       // Cross-type numeric: both widened to double (Value::Compare).
       const int64_t* data = view->ints();
-      const double c = constant_.AsDouble();
+      const double c = constant.AsDouble();
       FilterTyped(*batch, *view, decide,
                   [&](size_t p) { return Sign3(static_cast<double>(data[p]) - c); },
                   &keep);
     } else if (view->rep() == TableColumn::Rep::kDouble &&
                (const_type == TypeId::kDouble || const_type == TypeId::kInt)) {
       const double* data = view->doubles();
-      const double c = constant_.NumericAsDouble();
+      const double c = constant.NumericAsDouble();
       FilterTyped(*batch, *view, decide,
                   [&](size_t p) { return Sign3(data[p] - c); }, &keep);
     } else if (view->rep() == TableColumn::Rep::kInt64 && col_type == const_type) {
@@ -503,18 +517,18 @@ void SimplePredicate::FilterBatch(ColumnBatch* batch) const {
       // arm for int64-backed types).
       const int64_t* data = view->ints();
       const int64_t c = const_type == TypeId::kBool
-                            ? (constant_.AsBool() ? 1 : 0)
-                            : static_cast<int64_t>(constant_.AsDate());
+                            ? (constant.AsBool() ? 1 : 0)
+                            : static_cast<int64_t>(constant.AsDate());
       FilterTyped(*batch, *view, decide,
                   [&](size_t p) { return Sign3(data[p], c); }, &keep);
     } else if (view->rep() == TableColumn::Rep::kString &&
                const_type == TypeId::kString &&
-               (op_ == CompareOp::kEq || op_ == CompareOp::kNe)) {
+               (op == CompareOp::kEq || op == CompareOp::kNe)) {
       // Dictionary equality: one string lookup decides via codes. A constant
       // absent from the dictionary matches no stored string.
       const uint32_t* codes = view->codes();
-      const int64_t code = view->dict()->Find(constant_.AsString());
-      const bool want_eq = op_ == CompareOp::kEq;
+      const int64_t code = view->dict()->Find(constant.AsString());
+      const bool want_eq = op == CompareOp::kEq;
       FilterTyped(*batch, *view, [](int c) { return c != 0; },
                   [&](size_t p) {
                     bool eq = code >= 0 &&
@@ -530,7 +544,7 @@ void SimplePredicate::FilterBatch(ColumnBatch* batch) const {
       // of a string comparison.
       const uint32_t* codes = view->codes();
       const StringDict* dict = view->dict();
-      const std::string& c = constant_.AsString();
+      const std::string& c = constant.AsString();
       std::vector<int8_t> sign(dict->size());
       for (size_t code = 0; code < sign.size(); ++code) {
         const int r = dict->At(static_cast<uint32_t>(code)).compare(c);

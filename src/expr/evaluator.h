@@ -67,56 +67,72 @@ Status EvalPredicateBatch(const Expr& pred, EvalContext& ctx, ColumnBatch* batch
 Status EvalExprBatch(const Expr& expr, EvalContext& ctx, const ColumnBatch& batch,
                      std::vector<Value>* out);
 
-// A predicate of the shape `column <cmp> constant` (either operand order),
-// pre-analyzed at operator Init so the per-row test needs no expression-tree
-// walk and no Value temporaries. Matches() is exactly equivalent to
-// EvalPredicate on the original expression: a NULL column value rejects the
-// row, and the comparison goes through the same Value::Compare. FilterBatch
-// additionally compiles to a tight per-type loop over contiguous table
-// storage when the batch column is a typed view — same decisions, no Value
-// construction.
+// A predicate of the shape `column <cmp> constant` (either operand order), or
+// an AND of such terms (a two-sided range, BETWEEN), pre-analyzed at operator
+// Init so the per-row test needs no expression-tree walk and no Value
+// temporaries. Matches() is exactly equivalent to EvalPredicate on the
+// original expression: a row passes iff every term passes, a NULL column
+// value rejects its term, and each comparison goes through the same
+// Value::Compare. FilterBatch narrows the selection term by term, each term
+// compiled to a tight per-type loop over contiguous table storage when its
+// batch column is a typed view — same decisions, no Value construction.
 class SimplePredicate {
  public:
-  // Returns the compiled form when `pred` matches the shape (with a non-NULL
-  // literal); nullopt otherwise.
+  // Returns the compiled form when `pred` matches the shape (every literal
+  // non-NULL); nullopt otherwise.
   static std::optional<SimplePredicate> Compile(const Expr& pred);
 
-  bool Matches(const Row& row) const { return Decide(row[column_]); }
+  bool Matches(const Row& row) const {
+    for (const Term& t : terms_) {
+      if (!t.Decide(row[t.column])) return false;
+    }
+    return true;
+  }
 
   // Narrows `batch`'s selection in place to the matching rows, like
   // EvalPredicateBatch.
-  void FilterBatch(ColumnBatch* batch) const;
+  void FilterBatch(ColumnBatch* batch) const {
+    for (const Term& t : terms_) t.FilterBatch(batch);
+  }
 
  private:
-  SimplePredicate(int column, CompareOp op, Value constant)
-      : column_(column), op_(op), constant_(std::move(constant)) {}
+  // One `column <cmp> constant` conjunct.
+  struct Term {
+    int column;
+    CompareOp op;  // normalized so the column is the left operand
+    Value constant;
 
-  // The per-row decision both paths reduce to.
-  bool Decide(const Value& v) const {
-    if (v.is_null()) return false;
-    return DecideCmp(Value::Compare(v, constant_));
-  }
-  bool DecideCmp(int c) const {
-    switch (op_) {
-      case CompareOp::kEq:
-        return c == 0;
-      case CompareOp::kNe:
-        return c != 0;
-      case CompareOp::kLt:
-        return c < 0;
-      case CompareOp::kLe:
-        return c <= 0;
-      case CompareOp::kGt:
-        return c > 0;
-      case CompareOp::kGe:
-        return c >= 0;
+    // The per-row decision both paths reduce to.
+    bool Decide(const Value& v) const {
+      if (v.is_null()) return false;
+      return DecideCmp(Value::Compare(v, constant));
     }
-    return false;
-  }
+    bool DecideCmp(int c) const {
+      switch (op) {
+        case CompareOp::kEq:
+          return c == 0;
+        case CompareOp::kNe:
+          return c != 0;
+        case CompareOp::kLt:
+          return c < 0;
+        case CompareOp::kLe:
+          return c <= 0;
+        case CompareOp::kGt:
+          return c > 0;
+        case CompareOp::kGe:
+          return c >= 0;
+      }
+      return false;
+    }
+    void FilterBatch(ColumnBatch* batch) const;
+  };
 
-  int column_;
-  CompareOp op_;  // normalized so the column is the left operand
-  Value constant_;
+  explicit SimplePredicate(std::vector<Term> terms) : terms_(std::move(terms)) {}
+
+  // Appends `pred`'s terms; false when some conjunct has another shape.
+  static bool CompileTerms(const Expr& pred, std::vector<Term>* terms);
+
+  std::vector<Term> terms_;
 };
 
 }  // namespace seltrig

@@ -2,14 +2,16 @@
 // split under real threads.
 //
 //  - Thread-count differential: every TPC-H workload query produces identical
-//    rows, ACCESSED state, and rows_scanned at num_threads 1 / 4 / 8,
-//    including audited-LIMIT (max_rows) plans, which must fall back to the
-//    serial spine.
+//    rows, ACCESSED state, and summed executor counters at num_threads
+//    1 / 2 / 4 / 8, including audited-LIMIT (max_rows) plans, which must fall
+//    back to the serial spine.
 //  - N concurrent sessions: SELECT-trigger firing, morsel-parallel gathers
 //    from several sessions sharing one worker pool, and readers interleaved
 //    with DML writers maintaining the sensitive-ID view.
 //  - Trigger circuit breaker raced from many sessions: quarantine trips
 //    exactly once, Rearm restores firing.
+//  - The worker pool's RunAndWait runs each index exactly once, including
+//    the ones the calling thread claims because no pool thread woke in time.
 //
 // Run these under the `tsan` CMake preset to get ThreadSanitizer coverage of
 // the storage reader-writer lock, the trigger registry, and the gather merge.
@@ -19,12 +21,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "engine/database.h"
 #include "storage/wal.h"
 #include "tpch/dbgen.h"
@@ -62,13 +66,14 @@ class ThreadDifferentialTest : public ::testing::Test {
     return db_->ExecuteWithOptions(sql, options);
   }
 
-  // Results, ACCESSED, and rows_scanned must be bit-for-bit identical to the
-  // serial run at every thread count.
+  // Results, ACCESSED, and the counters the gather merge sums must be
+  // bit-for-bit identical to the serial run at every thread count (2 is the
+  // setting the olap_tpch benchmark runs).
   static void ExpectThreadInvariant(const tpch::TpchQuery& query,
                                     int64_t max_rows) {
     auto baseline = Run(query.sql, 1, max_rows);
     ASSERT_TRUE(baseline.ok()) << query.name << ": " << baseline.status().ToString();
-    for (int threads : {4, 8}) {
+    for (int threads : {2, 4, 8}) {
       auto r = Run(query.sql, threads, max_rows);
       ASSERT_TRUE(r.ok()) << query.name << ": " << r.status().ToString();
       EXPECT_EQ(r->result.rows, baseline->result.rows)
@@ -79,6 +84,17 @@ class ThreadDifferentialTest : public ::testing::Test {
           << " (max_rows " << max_rows << ")";
       EXPECT_EQ(r->stats.rows_scanned, baseline->stats.rows_scanned)
           << query.name << " rows_scanned diverges at " << threads
+          << " threads (max_rows " << max_rows << ")";
+      EXPECT_EQ(r->stats.rows_through_audit_ops,
+                baseline->stats.rows_through_audit_ops)
+          << query.name << " rows_through_audit_ops diverges at " << threads
+          << " threads (max_rows " << max_rows << ")";
+      EXPECT_EQ(r->stats.audit_probe_hits, baseline->stats.audit_probe_hits)
+          << query.name << " audit_probe_hits diverges at " << threads
+          << " threads (max_rows " << max_rows << ")";
+      EXPECT_EQ(r->stats.subquery_executions,
+                baseline->stats.subquery_executions)
+          << query.name << " subquery_executions diverges at " << threads
           << " threads (max_rows " << max_rows << ")";
     }
   }
@@ -113,6 +129,29 @@ TEST_F(ThreadDifferentialTest, MicroQueryAcrossThreadCounts) {
   tpch::TpchQuery micro{0, "micro", tpch::MicroBenchmarkQuery(4500.0, "1996-01-01")};
   ExpectThreadInvariant(micro, /*max_rows=*/-1);
   ExpectThreadInvariant(micro, /*max_rows=*/3);
+}
+
+// ThreadPool::RunAndWait: every index runs exactly once, whether a pool
+// thread or the caller claims it, and all have finished when it returns (each
+// index sleeps, so pool threads are still busy when the caller runs out of
+// indexes). A pool of 2 under 8 indexes leaves tokens that wake after the
+// call returned; they must not touch the caller's state (each round's `hits`
+// is freed before the next, so ASan/TSan see a stray write).
+TEST(ThreadPoolTest, RunAndWaitRunsEachIndexOnce) {
+  ThreadPool pool(2);
+  for (int round = 0; round < 100; ++round) {
+    for (int n : {1, 2, 3, 8}) {
+      std::vector<int> hits(static_cast<size_t>(n), 0);
+      pool.RunAndWait(n, [&](int i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        ++hits[static_cast<size_t>(i)];
+      });
+      for (int i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[static_cast<size_t>(i)], 1)
+            << "index " << i << " of " << n << ", round " << round;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

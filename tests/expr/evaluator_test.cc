@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "catalog/catalog.h"
+#include "exec/column_batch.h"
 #include "expr/expr.h"
+#include "storage/column_store.h"
 #include "types/date.h"
 
 namespace seltrig {
@@ -247,6 +252,159 @@ TEST(EvaluatorTest, CloneProducesIndependentEqualTree) {
   // Mutating the copy leaves the original untouched.
   copy->children[0]->cmp_op = CompareOp::kLt;
   EXPECT_NE(original->ToString(), copy->ToString());
+}
+
+// --- SimplePredicate conjunctions --------------------------------------------
+//
+// A compiled AND of `column <cmp> constant` terms must keep exactly the rows
+// EvalPredicateBatch keeps, over typed table views (int, double, date and
+// dictionary-string kernels) and over owned columns (the generic path), with
+// NULLs in every column and constants of other types than their column.
+
+class ConjunctionTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kRows = 60;
+
+  void SetUp() override {
+    const int32_t base = CivilToDays(1995, 1, 1);
+    for (size_t r = 0; r < kRows; ++r) {
+      const int64_t i = static_cast<int64_t>(r);
+      const bool null = r % 7 == 3;
+      ints_.Append(null ? Value::Null() : Value::Int(i));
+      doubles_.Append(r % 11 == 5 ? Value::Null() : Value::Double(0.5 * i));
+      dates_.Append(r % 13 == 2 ? Value::Null()
+                                : Value::Date(base + static_cast<int32_t>(i)));
+      strings_.Append(r % 9 == 4 ? Value::Null()
+                                 : Value::String(std::string(1, 'a' + r % 5) +
+                                                 std::to_string(r % 3)));
+      // Every other slot is live, so the view batch carries a selection.
+      if (r % 2 == 0) live_.push_back(static_cast<uint32_t>(r));
+    }
+  }
+
+  const TableColumn* column(size_t c) const {
+    const TableColumn* cols[] = {&ints_, &doubles_, &dates_, &strings_};
+    return cols[c];
+  }
+
+  void BindViews(ColumnBatch* batch) const {
+    batch->BeginViews(4);
+    for (size_t c = 0; c < 4; ++c) batch->BindViewColumn(c, column(c));
+    std::vector<uint32_t> slots = live_;
+    batch->AdoptSelection(&slots);
+  }
+
+  void FillOwned(ColumnBatch* batch) const {
+    batch->ResetOwned(4);
+    for (uint32_t slot : live_) {
+      Row row;
+      for (size_t c = 0; c < 4; ++c) row.push_back(column(c)->Get(slot));
+      batch->AppendRow(std::move(row));
+    }
+  }
+
+  static std::vector<Row> Rows(const ColumnBatch& batch) {
+    std::vector<Row> rows(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) batch.MaterializeRow(i, &rows[i]);
+    return rows;
+  }
+
+  // Compiles `pred` and checks FilterBatch and Matches against the evaluator.
+  void ExpectSameAsEvaluator(const Expr& pred) const {
+    std::optional<SimplePredicate> simple = SimplePredicate::Compile(pred);
+    ASSERT_TRUE(simple.has_value()) << pred.ToString();
+    for (bool views : {true, false}) {
+      ColumnBatch expected;
+      ColumnBatch actual;
+      if (views) {
+        BindViews(&expected);
+        BindViews(&actual);
+      } else {
+        FillOwned(&expected);
+        FillOwned(&actual);
+      }
+      EvalContext ctx;
+      ASSERT_TRUE(EvalPredicateBatch(pred, ctx, &expected).ok());
+      simple->FilterBatch(&actual);
+      EXPECT_EQ(Rows(actual), Rows(expected))
+          << pred.ToString() << (views ? " (views)" : " (owned)");
+      if (views) {
+        // The batch is narrowed; the row test must agree on every live row.
+        ColumnBatch all;
+        BindViews(&all);
+        for (const Row& row : Rows(all)) {
+          EvalContext row_ctx;
+          row_ctx.row = &row;
+          auto pass = EvalPredicate(pred, row_ctx);
+          ASSERT_TRUE(pass.ok());
+          EXPECT_EQ(simple->Matches(row), *pass) << pred.ToString();
+        }
+      }
+    }
+  }
+
+  TableColumn ints_{TypeId::kInt};
+  TableColumn doubles_{TypeId::kDouble};
+  TableColumn dates_{TypeId::kDate};
+  TableColumn strings_{TypeId::kString};
+  std::vector<uint32_t> live_;
+};
+
+ExprPtr Cmp(CompareOp op, int col, TypeId type, Value constant) {
+  return MakeComparison(op, MakeColumnRef(col, type), MakeLiteral(std::move(constant)));
+}
+
+TEST_F(ConjunctionTest, TwoSidedRangesMatchEvaluator) {
+  const int32_t base = CivilToDays(1995, 1, 1);
+  // Int column, int and double constants (cross-type widening).
+  ExpectSameAsEvaluator(*MakeAnd(Cmp(CompareOp::kGe, 0, TypeId::kInt, Value::Int(10)),
+                                 Cmp(CompareOp::kLt, 0, TypeId::kInt, Value::Double(40.5))));
+  // Double column, int and double constants.
+  ExpectSameAsEvaluator(*MakeAnd(Cmp(CompareOp::kGt, 1, TypeId::kDouble, Value::Int(3)),
+                                 Cmp(CompareOp::kLe, 1, TypeId::kDouble, Value::Double(21.5))));
+  // Date BETWEEN, as the binder lowers it.
+  ExpectSameAsEvaluator(
+      *MakeAnd(Cmp(CompareOp::kGe, 2, TypeId::kDate, Value::Date(base + 5)),
+               Cmp(CompareOp::kLe, 2, TypeId::kDate, Value::Date(base + 44))));
+  // Dictionary strings: ordered compare and inequality; a constant absent
+  // from the dictionary.
+  ExpectSameAsEvaluator(
+      *MakeAnd(Cmp(CompareOp::kGe, 3, TypeId::kString, Value::String("b")),
+               Cmp(CompareOp::kNe, 3, TypeId::kString, Value::String("c1"))));
+  ExpectSameAsEvaluator(
+      *MakeAnd(Cmp(CompareOp::kNe, 3, TypeId::kString, Value::String("zz")),
+               Cmp(CompareOp::kEq, 3, TypeId::kString, Value::String("d0"))));
+}
+
+TEST_F(ConjunctionTest, MixedColumnsAndOperandOrdersMatchEvaluator) {
+  // Constant on the left, three terms over three columns.
+  ExpectSameAsEvaluator(*MakeAnd(
+      MakeAnd(MakeComparison(CompareOp::kLt, MakeLiteral(Value::Int(4)),
+                             MakeColumnRef(0, TypeId::kInt)),
+              Cmp(CompareOp::kLt, 1, TypeId::kDouble, Value::Double(25.0))),
+      Cmp(CompareOp::kNe, 3, TypeId::kString, Value::String("a1"))));
+  // Incomparable constant types: Value::Compare orders by type id.
+  ExpectSameAsEvaluator(*MakeAnd(Cmp(CompareOp::kLt, 0, TypeId::kInt, Value::String("x")),
+                                 Cmp(CompareOp::kGt, 2, TypeId::kDate, Value::Int(7))));
+  // Contradictory range: nothing passes.
+  ExpectSameAsEvaluator(*MakeAnd(Cmp(CompareOp::kGt, 0, TypeId::kInt, Value::Int(30)),
+                                 Cmp(CompareOp::kLt, 0, TypeId::kInt, Value::Int(20))));
+}
+
+TEST_F(ConjunctionTest, OtherShapesStayOnTheGenericPath) {
+  // A computed operand, an OR, and a NULL literal anywhere in the AND.
+  EXPECT_FALSE(SimplePredicate::Compile(*MakeAnd(
+      Cmp(CompareOp::kGt, 0, TypeId::kInt, Value::Int(1)),
+      MakeComparison(CompareOp::kLt,
+                     MakeArith(ArithOp::kAdd, MakeColumnRef(0, TypeId::kInt),
+                               MakeLiteral(Value::Int(1))),
+                     MakeLiteral(Value::Int(9))))));
+  EXPECT_FALSE(SimplePredicate::Compile(
+      *MakeOr(Cmp(CompareOp::kGt, 0, TypeId::kInt, Value::Int(1)),
+              Cmp(CompareOp::kLt, 0, TypeId::kInt, Value::Int(9)))));
+  EXPECT_FALSE(SimplePredicate::Compile(
+      *MakeAnd(Cmp(CompareOp::kGt, 0, TypeId::kInt, Value::Int(1)),
+               Cmp(CompareOp::kLt, 0, TypeId::kInt, Value::Null()))));
 }
 
 }  // namespace

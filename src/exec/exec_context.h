@@ -77,7 +77,6 @@ class ExecContext {
   // --- Offline-auditor exclusions ------------------------------------------
   const std::vector<ScanExclusion>& exclusions() const { return exclusions_; }
   void AddExclusion(ScanExclusion e) { exclusions_.push_back(std::move(e)); }
-  void ClearExclusions() { exclusions_.clear(); }
 
   // --- Audit state ----------------------------------------------------------
   // Registry the physical audit operators write accessed IDs into. Owned by

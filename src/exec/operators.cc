@@ -216,15 +216,26 @@ Result<bool> SeqScanOp::EmitIfPassing(const Row& src, ColumnBatch* out) {
   return true;
 }
 
-Result<bool> SeqScanOp::FillColumnarBatch(ColumnBatch* out) {
-  // Pull up to batch_capacity_ live slots: identical batch segmentation to
-  // the row pipeline (ScanLiveRange is the pacing in both modes), so audit
-  // batch boundaries — and audit_batches_prescreened — match bit-for-bit.
+bool SeqScanOp::NextSlots() {
   scan_slots_.clear();
-  size_t end_slot = range_mode_ ? slot_end_ : table_->slot_count();
-  size_t n = table_->ScanLiveRange(&cursor_, end_slot, batch_capacity_, &scan_slots_);
-  if (n == 0) return false;
-  ctx_->stats().rows_scanned += n;
+  if (!index_mode_) {
+    size_t end_slot = range_mode_ ? slot_end_ : table_->slot_count();
+    return table_->ScanLiveRange(&cursor_, end_slot, batch_capacity_, &scan_slots_) > 0;
+  }
+  // Exhausted only past the last candidate: a run of dead ones yields an
+  // empty batch.
+  if (cursor_ >= candidates_.size()) return false;
+  while (cursor_ < candidates_.size() && scan_slots_.size() < batch_capacity_) {
+    size_t row_id = candidates_[cursor_++];
+    if (table_->IsLive(row_id)) scan_slots_.push_back(static_cast<uint32_t>(row_id));
+  }
+  return true;
+}
+
+Status SeqScanOp::FillColumnarBatch(ColumnBatch* out) {
+  // NextSlots paces both layouts, so audit batch boundaries — and
+  // audit_batches_prescreened — match the row pipeline bit-for-bit.
+  ctx_->stats().rows_scanned += scan_slots_.size();
 
   const size_t width = table_->schema().size();
   out->BeginViews(width);
@@ -255,42 +266,28 @@ Result<bool> SeqScanOp::FillColumnarBatch(ColumnBatch* out) {
     }
   }
   if (!node_.projection.empty()) out->ApplyProjection(node_.projection);
-  return true;
+  return Status::OK();
 }
 
 Result<bool> SeqScanOp::NextBatchImpl(ColumnBatch* out) {
-  const size_t cap = batch_capacity_;
   if (node_.virtual_rows != nullptr) {
     const std::vector<Row>& rows = *node_.virtual_rows;
     if (cursor_ >= rows.size()) return false;
     out->ResetOwned(OutputWidth(rows.empty() ? 0 : rows[0].size()));
-    size_t end = std::min(rows.size(), cursor_ + cap);
+    size_t end = std::min(rows.size(), cursor_ + batch_capacity_);
     for (; cursor_ < end; ++cursor_) {
       SELTRIG_RETURN_IF_ERROR(EmitIfPassing(rows[cursor_], out).status());
     }
     return true;
   }
-  if (index_mode_) {
-    if (cursor_ >= candidates_.size()) return false;
-    out->ResetOwned(OutputWidth(table_->schema().size()));
-    size_t examined = 0;
-    while (cursor_ < candidates_.size() && examined < cap) {
-      size_t row_id = candidates_[cursor_++];
-      if (!table_->IsLive(row_id)) continue;
-      ++examined;
-      table_->MaterializeRow(row_id, &row_scratch_);
-      SELTRIG_RETURN_IF_ERROR(EmitIfPassing(row_scratch_, out).status());
-    }
+  if (!NextSlots()) return false;
+  if (ctx_->columnar()) {
+    SELTRIG_RETURN_IF_ERROR(FillColumnarBatch(out));
     return true;
   }
-  if (ctx_->columnar()) return FillColumnarBatch(out);
   // Row-pipeline escape hatch (ExecOptions::columnar = false): materialize
   // every live row and append generically — the honest row-at-a-time
   // baseline the benchmarks compare against.
-  scan_slots_.clear();
-  size_t end_slot = range_mode_ ? slot_end_ : table_->slot_count();
-  size_t n = table_->ScanLiveRange(&cursor_, end_slot, cap, &scan_slots_);
-  if (n == 0) return false;
   out->ResetOwned(OutputWidth(table_->schema().size()));
   for (uint32_t slot : scan_slots_) {
     table_->MaterializeRow(slot, &row_scratch_);

@@ -131,12 +131,10 @@ int FindIndexableScanColumn(const Expr& pred);
 
 // Scan over a base table or virtual relation, applying the pushed
 // single-table filter and the context's scan exclusions (offline auditing).
-// Fills batches through Table::ScanLiveRange (no per-row virtual calls into
-// storage). When the filter contains an equality conjunct `column =
-// <row-independent expression>` (a constant, or a correlated outer
-// reference), the scan probes a lazily-built secondary hash index instead of
-// reading every row -- the index-lookup path that makes correlated EXISTS
-// subqueries (e.g. TPC-H Q22) tractable.
+// A base table's live slot ids come from Table::ScanLiveRange or, when the
+// filter has an equality conjunct `column = <row-independent expression>` (a
+// constant or a correlated outer reference), from a probe of a lazily-built
+// secondary hash index (what makes correlated EXISTS, e.g. TPC-H Q22, cheap).
 class SeqScanOp : public PhysicalOperator {
  public:
   SeqScanOp(ExecContext* ctx, std::vector<const Row*> outer_rows,
@@ -159,13 +157,16 @@ class SeqScanOp : public PhysicalOperator {
   Result<bool> NextBatchImpl(ColumnBatch* out) override;
 
  private:
-  // Row-materializing emit (virtual scans, index probes, and the row-pipeline
-  // escape hatch): applies exclusions + filter to `src` and appends the
-  // (projected) row to `out` when it passes.
+  // Row-materializing emit (virtual scans and the row-pipeline escape
+  // hatch): applies exclusions + filter to `src` and appends the (projected)
+  // row to `out` when it passes.
   Result<bool> EmitIfPassing(const Row& src, ColumnBatch* out);
-  // Columnar emit: binds zero-copy views over the table columns, installs the
-  // live-slot selection, then narrows it by exclusions and the fused filter.
-  Result<bool> FillColumnarBatch(ColumnBatch* out);
+  // The one slot source: fills scan_slots_ with up to batch_capacity_ live
+  // ids (index candidates or slot range); false once exhausted.
+  bool NextSlots();
+  // Columnar emit: binds zero-copy views over the table columns, installs
+  // scan_slots_ as the selection, narrows it by exclusions and the filter.
+  Status FillColumnarBatch(ColumnBatch* out);
   // Owned-batch width for the materializing paths.
   size_t OutputWidth(size_t src_width) const {
     return node_.projection.empty() ? src_width : node_.projection.size();
@@ -179,16 +180,16 @@ class SeqScanOp : public PhysicalOperator {
   std::optional<SimplePredicate> simple_filter_;
   // Exclusions relevant to this scan, resolved to column indexes.
   std::vector<std::pair<int, Value>> exclusions_;
-  // Index-lookup mode: the candidate row ids to examine.
+  // Index-lookup mode: the candidate row ids (ascending) to examine.
   bool index_mode_ = false;
   std::vector<size_t> candidates_;
   // Morsel range (set_slot_range); when inactive the scan covers the table.
   bool range_mode_ = false;
   size_t slot_begin_ = 0;
   size_t slot_end_ = 0;
-  // Scratch buffers: live slot ids from Table::ScanLiveRange (ping-ponged
-  // with the batch's selection via AdoptSelection), exclusion narrowing,
-  // and the reused row-materialization buffers.
+  // Scratch buffers: live slot ids from NextSlots (ping-ponged with the
+  // batch's selection via AdoptSelection), exclusion narrowing, and the
+  // reused row-materialization buffers.
   std::vector<uint32_t> scan_slots_;
   std::vector<uint32_t> keep_scratch_;
   Row row_scratch_;

@@ -297,15 +297,6 @@ std::unique_ptr<ElectionBus> ElectionMesh::Endpoint(const std::string& id) {
   return std::make_unique<InProcessBusEndpoint>(impl_, id, std::move(inbox));
 }
 
-std::vector<std::unique_ptr<ElectionBus>> CreateInProcessElectionMesh(
-    const std::vector<std::string>& ids) {
-  ElectionMesh mesh;
-  std::vector<std::unique_ptr<ElectionBus>> endpoints;
-  endpoints.reserve(ids.size());
-  for (const std::string& id : ids) endpoints.push_back(mesh.Endpoint(id));
-  return endpoints;
-}
-
 Result<std::unique_ptr<ElectionBus>> CreateSocketElectionBus(
     const std::string& listen_path,
     std::map<std::string, std::string> peer_paths) {

@@ -96,10 +96,6 @@ class ElectionMesh {
   std::shared_ptr<ElectionMeshState> impl_;
 };
 
-// Convenience: one endpoint per id over a fresh mesh, in input order.
-std::vector<std::unique_ptr<ElectionBus>> CreateInProcessElectionMesh(
-    const std::vector<std::string>& ids);
-
 // A unix-socket bus for multi-process clusters: listens on `listen_path`,
 // dials `peer_paths[id]` lazily per Send (reconnecting after failures).
 Result<std::unique_ptr<ElectionBus>> CreateSocketElectionBus(

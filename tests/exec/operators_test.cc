@@ -110,6 +110,74 @@ TEST_F(OperatorsTest, ScanIndexModeViaEqualityFilter) {
   EXPECT_EQ(rows[0][0].AsInt(), 5);
   // The index path examines only matching rows, not the full table.
   EXPECT_LT(ctx.stats().rows_scanned, 6u);
+
+  // A non-key column with duplicates: ids 2, 7, 8 and 9 all have v = 20, and
+  // id 7 is deleted before the probe.
+  for (int64_t id : {7, 8, 9}) {
+    ASSERT_TRUE(table_->Insert({Value::Int(id), Value::Int(20)}).ok());
+  }
+  auto slot_of = [&](int64_t id) {
+    auto row_id = table_->LookupByPrimaryKey(Value::Int(id));
+    EXPECT_TRUE(row_id.ok());
+    return row_id.ok() ? static_cast<uint32_t>(*row_id) : 0u;
+  };
+  ASSERT_TRUE(table_->Delete(slot_of(7)).ok());
+  auto by_v = MakeScan();
+  by_v->filter = MakeComparison(CompareOp::kEq, MakeColumnRef(1, TypeId::kInt, "v"),
+                                MakeLiteral(Value::Int(20)));
+  // Drives the scan directly in `layout_ctx` and returns its rows (and, into
+  // `slots` when given, each row's physical index); columnar batches must be
+  // all views, and no batch may exceed the context's batch size.
+  auto probe = [&](ExecContext* layout_ctx, std::vector<uint32_t>* slots) {
+    SeqScanOp op(layout_ctx, {}, *by_v, table_);
+    EXPECT_TRUE(op.Init().ok());
+    std::vector<Row> out;
+    ColumnBatch batch;
+    while (true) {
+      Result<bool> has = op.NextBatch(&batch);
+      EXPECT_TRUE(has.ok()) << has.status().ToString();
+      if (!has.ok() || !*has) break;
+      EXPECT_LE(batch.size(), layout_ctx->batch_size());
+      for (size_t c = 0; c < batch.num_columns(); ++c) {
+        EXPECT_EQ(batch.column(c).is_view(), layout_ctx->columnar()) << "column " << c;
+      }
+      for (size_t i = 0; i < batch.size(); ++i) {
+        if (slots != nullptr) slots->push_back(static_cast<uint32_t>(batch.PhysicalIndex(i)));
+        out.push_back(batch.GetRow(i));
+      }
+    }
+    return out;
+  };
+  // Batches of 2, so the three live candidates span two batches.
+  ExecContext row_ctx(&catalog_, &session_);
+  row_ctx.set_columnar(false);
+  row_ctx.set_batch_size(2);
+  const std::vector<Row> row_rows = probe(&row_ctx, nullptr);
+  ExecContext col_ctx(&catalog_, &session_);
+  col_ctx.set_batch_size(2);
+  std::vector<uint32_t> col_slots;
+  const std::vector<Row> col_rows = probe(&col_ctx, &col_slots);
+  // The live candidates become the view batch's selection.
+  EXPECT_EQ(col_slots, (std::vector<uint32_t>{slot_of(2), slot_of(8), slot_of(9)}));
+  ASSERT_EQ(col_rows.size(), 3u);
+  EXPECT_EQ(col_rows, row_rows);
+  // rows_scanned counts live candidates only, in both layouts.
+  EXPECT_EQ(col_ctx.stats().rows_scanned, 3u);
+  EXPECT_EQ(row_ctx.stats().rows_scanned, 3u);
+
+  // A scan exclusion on the probed table still removes its row.
+  ExecContext excl_ctx(&catalog_, &session_);
+  ScanExclusion ex;
+  ex.table = "t";
+  ex.column = 0;
+  ex.value = Value::Int(8);
+  excl_ctx.AddExclusion(ex);
+  std::vector<uint32_t> excl_slots;
+  const std::vector<Row> excl_rows = probe(&excl_ctx, &excl_slots);
+  EXPECT_EQ(excl_slots, (std::vector<uint32_t>{slot_of(2), slot_of(9)}));
+  ASSERT_EQ(excl_rows.size(), 2u);
+  for (const Row& r : excl_rows) EXPECT_NE(r[0].AsInt(), 8);
+  EXPECT_EQ(excl_ctx.stats().rows_scanned, 3u);
 }
 
 TEST_F(OperatorsTest, HashJoinSkipsNullKeys) {

@@ -1,6 +1,6 @@
 // Differential test of the columnar pipeline against the row-pipeline escape
 // hatch (ExecOptions::columnar = false) over the TPC-H workload: result rows,
-// ACCESSED state, and rows_scanned must be bit-for-bit identical between the
+// ACCESSED state, and every ExecStats counter must be identical between the
 // two layouts at batch sizes 1 and 1024, serially and with 4 morsel workers,
 // including under a max_rows prefix-abort and the audited-LIMIT fallback
 // (the lazy spine that pins audit operators to batch capacity 1).
@@ -62,9 +62,20 @@ class ColumnarDifferentialTest : public ::testing::Test {
         EXPECT_EQ(col->accessed, row->accessed)
             << name << " ACCESSED diverges (batch " << batch << ", threads "
             << threads << ", max_rows " << max_rows << ")";
+        const std::string where = " (batch " + std::to_string(batch) +
+                                  ", threads " + std::to_string(threads) +
+                                  ", max_rows " + std::to_string(max_rows) + ")";
         EXPECT_EQ(col->stats.rows_scanned, row->stats.rows_scanned)
-            << name << " rows_scanned diverges (batch " << batch
-            << ", threads " << threads << ", max_rows " << max_rows << ")";
+            << name << " rows_scanned diverges" << where;
+        EXPECT_EQ(col->stats.rows_through_audit_ops, row->stats.rows_through_audit_ops)
+            << name << " rows_through_audit_ops diverges" << where;
+        EXPECT_EQ(col->stats.audit_probe_hits, row->stats.audit_probe_hits)
+            << name << " audit_probe_hits diverges" << where;
+        EXPECT_EQ(col->stats.subquery_executions, row->stats.subquery_executions)
+            << name << " subquery_executions diverges" << where;
+        EXPECT_EQ(col->stats.audit_batches_prescreened,
+                  row->stats.audit_batches_prescreened)
+            << name << " audit_batches_prescreened diverges" << where;
       }
     }
   }

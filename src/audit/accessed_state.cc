@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "audit/sensitive_id_view.h"
+#include "storage/sensitive_id_view.h"
 
 namespace seltrig {
 

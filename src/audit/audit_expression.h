@@ -10,12 +10,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "audit/sensitive_id_view.h"
 #include "catalog/catalog.h"
 #include "common/status.h"
 #include "exec/exec_context.h"
 #include "expr/expr.h"
 #include "sql/ast.h"
+#include "storage/sensitive_id_view.h"
 
 namespace seltrig {
 

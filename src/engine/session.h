@@ -42,9 +42,9 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "exec/executor.h"
+#include "exec/plan_validator.h"
 #include "optimizer/optimizer.h"
 #include "plan/logical_plan.h"
-#include "plan/plan_validator.h"
 #include "sql/ast.h"
 #include "storage/undo_log.h"
 #include "storage/wal.h"
@@ -132,7 +132,7 @@ struct ExecOptions {
   // Sample per-operator runtime counters and return an EXPLAIN-ANALYZE-style
   // annotated tree in StatementResult::profile_text (shell: `.profile on`).
   bool collect_profile = false;
-  // Run the plan-invariant linter (plan/plan_validator.h) over every built
+  // Run the plan-invariant linter (exec/plan_validator.h) over every built
   // physical plan in release builds too; debug builds always validate. A
   // violated invariant fails the statement with kInternal (fail-closed).
   bool validate_plans = false;

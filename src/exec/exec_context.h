@@ -21,7 +21,7 @@ class Catalog;
 class Expr;
 class LogicalOperator;
 class AccessedStateRegistry;  // audit/accessed_state.h
-struct PlanValidation;        // plan/plan_validator.h
+struct PlanValidation;        // exec/plan_validator.h
 
 // Who is running the statement, what the statement text is, and what "now"
 // is. The clock is injectable so tests and examples get deterministic logs.
@@ -126,7 +126,7 @@ class ExecContext {
 
   // --- Plan validation ------------------------------------------------------
   // Placement expectations for the statement's top-level plan and the plan
-  // node they describe (plan/plan_validator.h). Subquery plans executed
+  // node they describe (exec/plan_validator.h). Subquery plans executed
   // through this context get only the validator's universal checks. Owned by
   // the caller (Session::RunSelectQuery); may be null.
   const PlanValidation* plan_validation() const { return plan_validation_; }

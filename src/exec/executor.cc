@@ -7,8 +7,8 @@
 #include "catalog/catalog.h"
 #include "common/fault_injector.h"
 #include "exec/gather.h"
+#include "exec/plan_validator.h"
 #include "expr/analysis.h"
-#include "plan/plan_validator.h"
 
 namespace seltrig {
 

@@ -58,7 +58,7 @@ class Executor {
                                 const std::vector<const Row*>& outer_rows,
                                 size_t spine_cap);
 
-  // Runs the plan-invariant linter (plan/plan_validator.h) over the built
+  // Runs the plan-invariant linter (exec/plan_validator.h) over the built
   // tree: always in debug builds, behind ExecContext::validate_plans() in
   // release. Placement checks apply when `plan` is the context's validation
   // root; other plans (subqueries) get the universal checks only.

@@ -6,11 +6,11 @@
 #include <functional>
 
 #include "audit/accessed_state.h"
-#include "audit/sensitive_id_view.h"
 #include "catalog/catalog.h"
 #include "common/bloom_filter.h"
 #include "common/fault_injector.h"
 #include "expr/analysis.h"
+#include "storage/sensitive_id_view.h"
 
 namespace seltrig {
 

@@ -78,7 +78,7 @@ class PhysicalOperator {
 
   // The logical node this operator was lowered from (for PhysicalGatherOp:
   // the root of its logical spine). Set by Executor::BuildNode on every
-  // operator it constructs; the plan validator (plan/plan_validator.h) walks
+  // operator it constructs; the plan validator (exec/plan_validator.h) walks
   // the physical tree through it and fails closed when it is missing.
   const LogicalOperator* logical_node() const { return logical_node_; }
   void set_logical_node(const LogicalOperator* node) { logical_node_ = node; }

@@ -13,7 +13,6 @@
 #ifndef SELTRIG_EXPR_ANALYSIS_H_
 #define SELTRIG_EXPR_ANALYSIS_H_
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -23,8 +22,6 @@
 #include "expr/expr.h"
 
 namespace seltrig {
-
-class LogicalOperator;
 
 // Splits an AND-tree into its conjuncts (ownership transferred to `out`).
 void SplitConjuncts(ExprPtr expr, std::vector<ExprPtr>* out);
@@ -44,18 +41,6 @@ bool ExprReferencesOnlyRange(const Expr& expr, int lo, int hi);
 // Adds `delta` to every kColumnRef index (used when pushing predicates to the
 // right side of a join, whose columns are offset in the concatenated row).
 void ShiftColumnRefs(Expr* expr, int delta);
-
-// Invokes `fn` on every column index of `expr` that resolves against the
-// expression's own scope: kColumnRef nodes, plus outer references inside
-// nested subquery plans whose levels_up climbs back out to this scope. This
-// is the complete set of indexes that must be rewritten when the scope's
-// schema changes (column pruning, join reordering).
-void VisitScopeColumnRefs(Expr& expr, const std::function<void(int&)>& fn);
-
-// Same, for an entire plan at a given nesting depth (depth 1 = the plan is
-// directly nested in the scope being rewritten).
-void VisitPlanScopeColumnRefs(LogicalOperator& plan, int depth,
-                              const std::function<void(int&)>& fn);
 
 // True if the expression contains a subquery anywhere (without crossing into
 // subquery plans themselves).

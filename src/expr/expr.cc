@@ -1,7 +1,5 @@
 #include "expr/expr.h"
 
-#include "plan/logical_plan.h"
-
 namespace seltrig {
 
 Expr::~Expr() = default;

@@ -1,10 +1,10 @@
 // layering check: the engine's directory layers form a DAG, declared once in
 // DefaultLayerTable() below. An #include from a lower-ranked directory into a
 // higher-ranked one (upward) or between two directories of equal rank
-// (sideways) is an error. The handful of genuine seams — batch evaluation
-// reaching into exec's ColumnBatch, the audit log appending through the
-// engine, plan re-validation inspecting physical operators — are suppressed
-// edge-by-edge in .lint-suppressions, each with its justification.
+// (sideways) is an error. The handful of genuine seams — the executor
+// feeding ACCESSED state to audit, batch evaluation reaching into exec's
+// ColumnBatch and ExecContext — are suppressed edge-by-edge in
+// .lint-suppressions, each with its justification.
 //
 // Scope: src/ only. Tests, tools, and benches may include anything; they sit
 // above the whole library by construction.
@@ -26,13 +26,13 @@ LayerTable DefaultLayerTable() {
       {"lint", 5},      // this analyzer: std-only, nothing above common
       {"types", 10},    // values, schemas, dates
       {"sql", 20},      // lexer/parser/AST
-      {"storage", 30},  // tables, undo log, WAL
+      {"storage", 30},  // tables, undo log, WAL, sensitive-ID views
       {"catalog", 40},  // table registry over storage
       {"expr", 50},     // expressions + evaluation
-      {"plan", 60},     // logical plans + the plan validator
+      {"plan", 60},     // logical plans
       {"binder", 70},   // SQL -> bound logical plan
       {"optimizer", 80},
-      {"exec", 90},     // physical operators, batches, morsel gather
+      {"exec", 90},     // physical operators, batches, gather, plan validator
       {"audit", 100},   // ACCESSED state, audit expressions, triggers
       {"engine", 110},  // database/session/recovery/snapshot
       {"replication", 120},

@@ -3,8 +3,8 @@
 #include <utility>
 #include <vector>
 
-#include "audit/sensitive_id_view.h"
 #include "expr/analysis.h"
+#include "storage/sensitive_id_view.h"
 
 namespace seltrig {
 

@@ -341,4 +341,32 @@ int MaxEscapeLevel(const LogicalOperator& plan) {
   return level;
 }
 
+void VisitScopeColumnRefs(Expr& expr, const std::function<void(int&)>& fn) {
+  if (expr.kind == ExprKind::kColumnRef) fn(expr.column_index);
+  if (expr.kind == ExprKind::kSubquery && expr.subquery_plan != nullptr) {
+    VisitPlanScopeColumnRefs(*expr.subquery_plan, 1, fn);
+  }
+  for (auto& c : expr.children) VisitScopeColumnRefs(*c, fn);
+}
+
+namespace {
+
+void VisitExprOuterRefsAtDepth(Expr& e, int depth, const std::function<void(int&)>& fn) {
+  if (e.kind == ExprKind::kOuterColumnRef && e.levels_up == depth) {
+    fn(e.column_index);
+  }
+  if (e.kind == ExprKind::kSubquery && e.subquery_plan != nullptr) {
+    VisitPlanScopeColumnRefs(*e.subquery_plan, depth + 1, fn);
+  }
+  for (auto& c : e.children) VisitExprOuterRefsAtDepth(*c, depth, fn);
+}
+
+}  // namespace
+
+void VisitPlanScopeColumnRefs(LogicalOperator& plan, int depth,
+                              const std::function<void(int&)>& fn) {
+  VisitNodeExprs(plan, [&](ExprPtr& e) { VisitExprOuterRefsAtDepth(*e, depth, fn); });
+  for (auto& child : plan.children) VisitPlanScopeColumnRefs(*child, depth, fn);
+}
+
 }  // namespace seltrig

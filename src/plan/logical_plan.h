@@ -17,7 +17,7 @@
 namespace seltrig {
 
 class BloomFilter;      // common/bloom_filter.h
-class SensitiveIdView;  // audit/sensitive_id_view.h
+class SensitiveIdView;  // storage/sensitive_id_view.h
 
 enum class PlanKind : uint8_t {
   kScan,
@@ -230,6 +230,18 @@ void VisitNodeExprs(const LogicalOperator& node,
 // beyond the plan itself (recursing into nested subquery plans). 0 means the
 // plan is self-contained; >0 means it is correlated with enclosing queries.
 int MaxEscapeLevel(const LogicalOperator& plan);
+
+// Invokes `fn` on every column index of `expr` that resolves against the
+// expression's own scope: kColumnRef nodes, plus outer references inside
+// nested subquery plans whose levels_up climbs back out to this scope. This
+// is the complete set of indexes that must be rewritten when the scope's
+// schema changes (column pruning, join reordering).
+void VisitScopeColumnRefs(Expr& expr, const std::function<void(int&)>& fn);
+
+// Same, for an entire plan at a given nesting depth (depth 1 = the plan is
+// directly nested in the scope being rewritten).
+void VisitPlanScopeColumnRefs(LogicalOperator& plan, int depth,
+                              const std::function<void(int&)>& fn);
 
 }  // namespace seltrig
 

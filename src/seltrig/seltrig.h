@@ -23,7 +23,6 @@
 #include "audit/offline_auditor.h"
 #include "audit/placement.h"
 #include "audit/rewrite_auditor.h"
-#include "audit/sensitive_id_view.h"
 #include "audit/static_auditor.h"
 #include "audit/trigger.h"
 #include "binder/binder.h"
@@ -40,6 +39,7 @@
 #include "optimizer/optimizer.h"
 #include "plan/logical_plan.h"
 #include "sql/parser.h"
+#include "storage/sensitive_id_view.h"
 #include "storage/table.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"

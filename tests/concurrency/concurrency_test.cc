@@ -1,10 +1,6 @@
 // Concurrency suite (`ctest -L concurrency`): the shared-catalog/session
 // split under real threads.
 //
-//  - Thread-count differential: every TPC-H workload query produces identical
-//    rows, ACCESSED state, and summed executor counters at num_threads
-//    1 / 2 / 4 / 8, including audited-LIMIT (max_rows) plans, which must fall
-//    back to the serial spine.
 //  - N concurrent sessions: SELECT-trigger firing, morsel-parallel gathers
 //    from several sessions sharing one worker pool, and readers interleaved
 //    with DML writers maintaining the sensitive-ID view.
@@ -15,6 +11,9 @@
 //
 // Run these under the `tsan` CMake preset to get ThreadSanitizer coverage of
 // the storage reader-writer lock, the trigger registry, and the gather merge.
+// The thread-count differential over the TPC-H corpus (1 / 2 / 4 / 8 morsel
+// workers) lives in tests/tpch/corpus_differential_test.cc, which the preset
+// also runs.
 
 #include <gtest/gtest.h>
 
@@ -31,105 +30,9 @@
 #include "common/thread_pool.h"
 #include "engine/database.h"
 #include "storage/wal.h"
-#include "tpch/dbgen.h"
-#include "tpch/queries.h"
 
 namespace seltrig {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Thread-count differential over the TPC-H workload.
-
-class ThreadDifferentialTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    db_ = new Database();
-    tpch::TpchConfig config;
-    config.scale_factor = 0.01;
-    ASSERT_TRUE(tpch::LoadTpch(db_, config).ok());
-    ASSERT_TRUE(
-        db_->Execute(tpch::SegmentAuditExpressionSql("seg", "BUILDING")).ok());
-  }
-
-  static void TearDownTestSuite() {
-    delete db_;
-    db_ = nullptr;
-  }
-
-  static Result<StatementResult> Run(const std::string& sql, int num_threads,
-                                     int64_t max_rows = -1) {
-    ExecOptions options;
-    options.num_threads = num_threads;
-    options.max_rows = max_rows;
-    options.instrument_all_audit_expressions = true;
-    options.enable_select_triggers = false;
-    return db_->ExecuteWithOptions(sql, options);
-  }
-
-  // Results, ACCESSED, and the counters the gather merge sums must be
-  // bit-for-bit identical to the serial run at every thread count (2 is the
-  // setting the olap_tpch benchmark runs).
-  static void ExpectThreadInvariant(const tpch::TpchQuery& query,
-                                    int64_t max_rows) {
-    auto baseline = Run(query.sql, 1, max_rows);
-    ASSERT_TRUE(baseline.ok()) << query.name << ": " << baseline.status().ToString();
-    for (int threads : {2, 4, 8}) {
-      auto r = Run(query.sql, threads, max_rows);
-      ASSERT_TRUE(r.ok()) << query.name << ": " << r.status().ToString();
-      EXPECT_EQ(r->result.rows, baseline->result.rows)
-          << query.name << " rows diverge at " << threads << " threads"
-          << " (max_rows " << max_rows << ")";
-      EXPECT_EQ(r->accessed, baseline->accessed)
-          << query.name << " ACCESSED diverges at " << threads << " threads"
-          << " (max_rows " << max_rows << ")";
-      EXPECT_EQ(r->stats.rows_scanned, baseline->stats.rows_scanned)
-          << query.name << " rows_scanned diverges at " << threads
-          << " threads (max_rows " << max_rows << ")";
-      EXPECT_EQ(r->stats.rows_through_audit_ops,
-                baseline->stats.rows_through_audit_ops)
-          << query.name << " rows_through_audit_ops diverges at " << threads
-          << " threads (max_rows " << max_rows << ")";
-      EXPECT_EQ(r->stats.audit_probe_hits, baseline->stats.audit_probe_hits)
-          << query.name << " audit_probe_hits diverges at " << threads
-          << " threads (max_rows " << max_rows << ")";
-      EXPECT_EQ(r->stats.subquery_executions,
-                baseline->stats.subquery_executions)
-          << query.name << " subquery_executions diverges at " << threads
-          << " threads (max_rows " << max_rows << ")";
-    }
-  }
-
-  static Database* db_;
-};
-
-Database* ThreadDifferentialTest::db_ = nullptr;
-
-TEST_F(ThreadDifferentialTest, WorkloadQueriesFullResult) {
-  for (const tpch::TpchQuery& query : tpch::WorkloadQueries()) {
-    ExpectThreadInvariant(query, /*max_rows=*/-1);
-  }
-}
-
-// Audited LIMIT: a max_rows prefix-abort pins the audit spine to exact
-// row-at-a-time flow, so the executor must refuse to gather and fall back to
-// the serial path -- the differential still has to hold.
-TEST_F(ThreadDifferentialTest, AuditedLimitFallsBackToSerial) {
-  for (const tpch::TpchQuery& query : tpch::WorkloadQueries()) {
-    ExpectThreadInvariant(query, /*max_rows=*/5);
-  }
-}
-
-TEST_F(ThreadDifferentialTest, ExtensionQueriesFullResult) {
-  for (const tpch::TpchQuery& query : tpch::ExtensionQueries()) {
-    ExpectThreadInvariant(query, /*max_rows=*/-1);
-  }
-}
-
-TEST_F(ThreadDifferentialTest, MicroQueryAcrossThreadCounts) {
-  tpch::TpchQuery micro{0, "micro", tpch::MicroBenchmarkQuery(4500.0, "1996-01-01")};
-  ExpectThreadInvariant(micro, /*max_rows=*/-1);
-  ExpectThreadInvariant(micro, /*max_rows=*/3);
-}
 
 // ThreadPool::RunAndWait: every index runs exactly once, whether a pool
 // thread or the caller claims it, and all have finished when it returns (each

@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "audit/accessed_state.h"
-#include "audit/sensitive_id_view.h"
 #include "catalog/catalog.h"
 #include "exec/executor.h"
 #include "expr/expr.h"
+#include "storage/sensitive_id_view.h"
 
 namespace seltrig {
 namespace {

@@ -11,10 +11,10 @@
 #include <utility>
 
 #include "audit/accessed_state.h"
-#include "audit/sensitive_id_view.h"
 #include "catalog/catalog.h"
 #include "exec/executor.h"
 #include "expr/analysis.h"
+#include "storage/sensitive_id_view.h"
 
 namespace seltrig {
 namespace {

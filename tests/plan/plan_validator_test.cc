@@ -1,10 +1,10 @@
-// Tests of the plan-invariant linter (plan/plan_validator.h): hand-built
+// Tests of the plan-invariant linter (exec/plan_validator.h): hand-built
 // violating physical plans must be rejected with diagnostics naming the
-// broken invariant, and the full TPC-H workload — the plans the engine
-// actually produces — must validate cleanly with the linter enabled, at every
-// batch size, thread count, and placement heuristic.
+// broken invariant. That the plans the engine actually produces for the
+// TPC-H corpus validate cleanly, under every executor setting, is checked by
+// tests/tpch/corpus_differential_test.cc, which runs with the linter on.
 
-#include "plan/plan_validator.h"
+#include "exec/plan_validator.h"
 
 #include <gtest/gtest.h>
 
@@ -14,19 +14,14 @@
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "engine/database.h"
 #include "exec/exec_context.h"
 #include "exec/executor.h"
 #include "exec/gather.h"
 #include "exec/operators.h"
 #include "plan/logical_plan.h"
-#include "tpch/dbgen.h"
-#include "tpch/queries.h"
 
 namespace seltrig {
 namespace {
-
-// --- Hand-built plans --------------------------------------------------------
 
 class PlanValidatorTest : public ::testing::Test {
  protected:
@@ -312,87 +307,6 @@ TEST_F(PlanValidatorTest, RejectsOperatorWithoutLogicalNode) {
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("introspection"), std::string::npos)
       << status.ToString();
-}
-
-// --- TPC-H corpus ------------------------------------------------------------
-
-// Every plan the engine produces for the TPC-H workload must pass the linter
-// (ExecOptions::validate_plans) — serial and parallel, exact (batch 1) and
-// vectorized (batch 1024), across placement heuristics and under a max_rows
-// prefix-abort. The linter failing any of these would mean placement or
-// lowering broke an invariant the audit guarantees rest on.
-class PlanValidatorTpchTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    db_ = new Database();
-    tpch::TpchConfig config;
-    config.scale_factor = 0.01;
-    ASSERT_TRUE(tpch::LoadTpch(db_, config).ok());
-    ASSERT_TRUE(
-        db_->Execute(tpch::SegmentAuditExpressionSql("seg", "BUILDING")).ok());
-  }
-
-  static void TearDownTestSuite() {
-    delete db_;
-    db_ = nullptr;
-  }
-
-  static void RunCorpus(size_t batch_size, int num_threads,
-                        PlacementHeuristic heuristic, int64_t max_rows) {
-    ExecOptions options;
-    options.validate_plans = true;
-    options.batch_size = batch_size;
-    options.num_threads = num_threads;
-    options.heuristic = heuristic;
-    options.max_rows = max_rows;
-    options.instrument_all_audit_expressions = true;
-    options.enable_select_triggers = false;
-    for (const tpch::TpchQuery& query : tpch::WorkloadQueries()) {
-      auto r = db_->ExecuteWithOptions(query.sql, options);
-      EXPECT_TRUE(r.ok()) << query.name << " (batch " << batch_size
-                          << ", threads " << num_threads << "): "
-                          << r.status().ToString();
-    }
-    for (const tpch::TpchQuery& query : tpch::ExtensionQueries()) {
-      auto r = db_->ExecuteWithOptions(query.sql, options);
-      EXPECT_TRUE(r.ok()) << query.name << " (batch " << batch_size
-                          << ", threads " << num_threads << "): "
-                          << r.status().ToString();
-    }
-  }
-
-  static Database* db_;
-};
-
-Database* PlanValidatorTpchTest::db_ = nullptr;
-
-TEST_F(PlanValidatorTpchTest, SerialExactMode) {
-  RunCorpus(1, 1, PlacementHeuristic::kHighestCommutativeNode, -1);
-}
-
-TEST_F(PlanValidatorTpchTest, SerialVectorized) {
-  RunCorpus(1024, 1, PlacementHeuristic::kHighestCommutativeNode, -1);
-}
-
-TEST_F(PlanValidatorTpchTest, ParallelExactMode) {
-  RunCorpus(1, 4, PlacementHeuristic::kHighestCommutativeNode, -1);
-}
-
-TEST_F(PlanValidatorTpchTest, ParallelVectorized) {
-  RunCorpus(1024, 4, PlacementHeuristic::kHighestCommutativeNode, -1);
-}
-
-TEST_F(PlanValidatorTpchTest, MaxRowsPrefixAbort) {
-  RunCorpus(1024, 1, PlacementHeuristic::kHighestCommutativeNode, 5);
-  RunCorpus(1024, 4, PlacementHeuristic::kHighestCommutativeNode, 5);
-}
-
-TEST_F(PlanValidatorTpchTest, LeafNodeHeuristic) {
-  RunCorpus(1024, 1, PlacementHeuristic::kLeafNode, -1);
-}
-
-TEST_F(PlanValidatorTpchTest, HighestNodeAblation) {
-  RunCorpus(1024, 1, PlacementHeuristic::kHighestNode, -1);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 //     a fresh bind of the same statement afterwards sees the bumped version.
 //  2. The stale-plan backstop: a plan bound before the racing ALTER carries
 //     the old schema version in its scans, and the plan validator
-//     (plan/plan_validator.h invariant 5) rejects it against the live
+//     (exec/plan_validator.h invariant 5) rejects it against the live
 //     catalog instead of letting stale column indexes read garbage.
 
 #include <gtest/gtest.h>
@@ -26,8 +26,8 @@
 #include "engine/session.h"
 #include "exec/exec_context.h"
 #include "exec/executor.h"
+#include "exec/plan_validator.h"
 #include "plan/logical_plan.h"
-#include "plan/plan_validator.h"
 #include "storage/table.h"
 #include "types/value.h"
 

@@ -9,10 +9,10 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
+#include "types/key_index.h"
 #include "types/value.h"
 
 namespace seltrig {
@@ -46,13 +46,13 @@ struct ScanExclusion {
 };
 
 // Result of materializing a subquery once; cached for uncorrelated
-// subqueries. For IN probes a value set over the first output column is built
-// lazily.
+// subqueries. For IN probes a value set over the first output column's
+// non-NULL values is built lazily.
 struct MaterializedSubquery {
   std::vector<Row> rows;
   bool set_built = false;
   bool has_null = false;
-  std::unordered_set<Value, ValueHash, ValueEq> value_set;
+  KeyIndex value_set;
 };
 
 // Execution statistics, used by benchmarks and tests.

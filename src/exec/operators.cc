@@ -377,7 +377,6 @@ std::string HashJoinOp::DebugName() const { return node_.Describe(); }
 Status HashJoinOp::InitImpl() {
   SELTRIG_RETURN_IF_ERROR(left_->Init());
   SELTRIG_RETURN_IF_ERROR(right_->Init());
-  hash_table_.clear();
   eval_ctx_ = MakeEvalContext(nullptr);
   left_batch_.Clear();
   left_pos_ = 0;
@@ -391,23 +390,9 @@ Status HashJoinOp::InitImpl() {
   // the child's batches instead of copying them (view cells are copied; table
   // storage is never moved from).
   size_t estimate = EstimateCardinality(*node_.children[1], ctx_);
-  switch (right_keys_.size()) {
-    case 1:
-      key_path_ = KeyPath::kInt64;
-      break;
-    case 2:
-      key_path_ = KeyPath::kPair;
-      break;
-    default:
-      key_path_ = KeyPath::kGeneric;
-  }
-  int_buckets_.clear();
-  if (key_path_ != KeyPath::kGeneric) {
-    int_index_.Reset(estimate);
-    int_buckets_.reserve(estimate);
-  } else {
-    hash_table_.reserve(estimate);
-  }
+  index_.Reset(estimate);
+  buckets_.clear();
+  buckets_.reserve(estimate);
   right_width_ = 0;
   ColumnBatch build_batch;
   Row row;
@@ -422,18 +407,9 @@ Status HashJoinOp::InitImpl() {
       if (!has_key) continue;  // SQL equality never matches NULL keys
       build_batch.MoveRowTo(i, &row);
       right_width_ = row.size();
-      int64_t packed = 0;
-      if (key_path_ != KeyPath::kGeneric && !PackBuildKey(&packed)) {
-        DegradeToGenericTable();
-      }
-      if (key_path_ != KeyPath::kGeneric) {
-        auto [slot, inserted] = int_index_.FindOrInsert(
-            packed, static_cast<uint32_t>(int_buckets_.size()));
-        if (inserted) int_buckets_.emplace_back();
-        int_buckets_[slot].push_back(std::move(row));
-      } else {
-        hash_table_[std::move(key_scratch_)].push_back(std::move(row));
-      }
+      auto [slot, inserted] = index_.FindOrInsert(key_scratch_);
+      if (inserted) buckets_.emplace_back();
+      buckets_[slot].push_back(std::move(row));
     }
   }
   if (right_width_ == 0) {
@@ -442,18 +418,6 @@ Status HashJoinOp::InitImpl() {
   }
   return Status::OK();
 }
-
-namespace {
-
-// The pair path packs (a, b), both within int32, as a's bits over b's.
-int64_t PackPair(int64_t a, int64_t b) {
-  return static_cast<int64_t>((static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-                              static_cast<uint32_t>(b));
-}
-
-bool FitsInt32(int64_t v) { return v >= INT32_MIN && v <= INT32_MAX; }
-
-}  // namespace
 
 Result<bool> HashJoinOp::EvalKeys(const std::vector<ExprPtr>& keys,
                                   const ColumnBatch& batch, size_t i) {
@@ -466,54 +430,6 @@ Result<bool> HashJoinOp::EvalKeys(const std::vector<ExprPtr>& keys,
     key_scratch_.push_back(std::move(v));
   }
   return true;
-}
-
-bool HashJoinOp::PackBuildKey(int64_t* out) const {
-  for (const Value& v : key_scratch_) {
-    if (v.type() != TypeId::kInt) return false;
-  }
-  if (key_path_ == KeyPath::kInt64) {
-    *out = key_scratch_[0].AsInt();
-    return true;
-  }
-  const int64_t a = key_scratch_[0].AsInt();
-  const int64_t b = key_scratch_[1].AsInt();
-  if (!FitsInt32(a) || !FitsInt32(b)) return false;
-  *out = PackPair(a, b);
-  return true;
-}
-
-bool HashJoinOp::PackProbeKey(int64_t* out) const {
-  // A probe key outside the build keys' domain (string/date/bool, a
-  // non-integral double, or beyond int32 on the pair path) cannot equal any
-  // build key.
-  if (key_path_ == KeyPath::kInt64) return Int64ProbeKey(key_scratch_[0], out);
-  int64_t a = 0;
-  int64_t b = 0;
-  if (!Int64ProbeKey(key_scratch_[0], &a) || !Int64ProbeKey(key_scratch_[1], &b) ||
-      !FitsInt32(a) || !FitsInt32(b)) {
-    return false;
-  }
-  *out = PackPair(a, b);
-  return true;
-}
-
-void HashJoinOp::DegradeToGenericTable() {
-  const KeyPath path = key_path_;
-  key_path_ = KeyPath::kGeneric;
-  hash_table_.reserve(int_index_.size());
-  int_index_.ForEach([&](int64_t key, uint32_t slot) {
-    Row k;
-    if (path == KeyPath::kInt64) {
-      k.push_back(Value::Int(key));
-    } else {
-      k.push_back(Value::Int(static_cast<int32_t>(static_cast<uint64_t>(key) >> 32)));
-      k.push_back(Value::Int(static_cast<int32_t>(static_cast<uint32_t>(key))));
-    }
-    hash_table_[std::move(k)] = std::move(int_buckets_[slot]);
-  });
-  int_index_.Clear();
-  int_buckets_.clear();
 }
 
 Result<bool> HashJoinOp::AdvanceLeft() {
@@ -536,16 +452,8 @@ Result<bool> HashJoinOp::AdvanceLeft() {
 
     SELTRIG_ASSIGN_OR_RETURN(bool has_key, EvalKeys(left_keys_, left_batch_, left_li_));
     if (has_key) {
-      if (key_path_ != KeyPath::kGeneric) {
-        int64_t k;
-        if (PackProbeKey(&k)) {
-          uint32_t slot = int_index_.Find(k);
-          if (slot != Int64HashIndex::kNone) matches_ = &int_buckets_[slot];
-        }
-      } else {
-        auto it = hash_table_.find(key_scratch_);
-        if (it != hash_table_.end()) matches_ = &it->second;
-      }
+      uint32_t slot = index_.Find(key_scratch_);
+      if (slot != KeyIndex::kNone) matches_ = &buckets_[slot];
     }
     return true;
   }
@@ -802,69 +710,32 @@ Status HashAggregateOp::InitImpl() {
   results_.clear();
   cursor_ = 0;
 
-  // Group rows; preserve first-seen order for deterministic output.
-  std::unordered_map<Row, size_t, RowHash, RowEq> group_index;
+  // Group rows by their key's KeyIndex slot. Slots are dense and in
+  // first-seen order, which is the (deterministic) output order.
+  KeyIndex group_index;
+  group_index.Reset(256);
   std::vector<Row> group_keys;
   std::vector<std::vector<AggState>> group_states;
 
-  // Single-int64-key fast path: raw open-addressing group index, plus one
-  // out-of-table slot for the NULL group (GROUP BY collects NULLs together).
-  // Degrades to the generic Row-keyed index the moment a key of any other
-  // type appears — group_keys holds every key Row either way, so migration
-  // is a rebuild of the index, not of the groups.
-  bool int64_groups = node_.group_exprs.size() == 1;
-  Int64HashIndex int_group_index;
-  if (int64_groups) int_group_index.Reset(256);
-  size_t null_group = SIZE_MAX;
-
   EvalContext ec = MakeEvalContext(nullptr);
   ColumnBatch batch;
+  Row key;
   while (true) {
     Result<bool> has = child_->NextBatch(&batch);
     SELTRIG_RETURN_IF_ERROR(has.status());
     if (!*has) break;
     for (size_t r = 0; r < batch.size(); ++r) {
       ec.BindBatch(&batch, r);
-      Row key;
-      key.reserve(node_.group_exprs.size());
+      key.clear();
       for (const auto& g : node_.group_exprs) {
         Result<Value> v = EvalExpr(*g, ec);
         SELTRIG_RETURN_IF_ERROR(v.status());
         key.push_back(std::move(*v));
       }
-      size_t group;
-      if (int64_groups && key[0].type() != TypeId::kInt &&
-          key[0].type() != TypeId::kNull) {
-        int64_groups = false;
-        for (size_t g = 0; g < group_keys.size(); ++g) {
-          group_index[group_keys[g]] = g;
-        }
-        int_group_index.Clear();
-      }
-      if (int64_groups) {
-        if (key[0].is_null()) {
-          if (null_group == SIZE_MAX) {
-            null_group = group_keys.size();
-            group_keys.push_back(std::move(key));
-            group_states.emplace_back(node_.aggregates.size());
-          }
-          group = null_group;
-        } else {
-          auto [slot, inserted] = int_group_index.FindOrInsert(
-              key[0].AsInt(), static_cast<uint32_t>(group_keys.size()));
-          if (inserted) {
-            group_keys.push_back(std::move(key));
-            group_states.emplace_back(node_.aggregates.size());
-          }
-          group = slot;
-        }
-      } else {
-        auto [it, inserted] = group_index.try_emplace(key, group_keys.size());
-        if (inserted) {
-          group_keys.push_back(std::move(key));
-          group_states.emplace_back(node_.aggregates.size());
-        }
-        group = it->second;
+      auto [group, inserted] = group_index.FindOrInsert(key);
+      if (inserted) {
+        group_keys.push_back(key);
+        group_states.emplace_back(node_.aggregates.size());
       }
       SELTRIG_RETURN_IF_ERROR(Accumulate(&group_states[group], ec));
     }
@@ -1008,7 +879,7 @@ DistinctOp::DistinctOp(ExecContext* ctx, std::vector<const Row*> outer_rows,
 std::string DistinctOp::DebugName() const { return "Distinct"; }
 
 Status DistinctOp::InitImpl() {
-  seen_.clear();
+  seen_.Reset(0);
   return child_->Init();
 }
 
@@ -1020,7 +891,7 @@ Result<bool> DistinctOp::NextBatchImpl(ColumnBatch* out) {
   keep.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     out->MaterializeRow(i, &row_scratch_);
-    if (seen_.insert(row_scratch_).second) {
+    if (seen_.FindOrInsert(row_scratch_).second) {
       keep.push_back(static_cast<uint32_t>(out->PhysicalIndex(i)));
     }
   }

@@ -16,18 +16,17 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
 #include "exec/exec_context.h"
 #include "exec/column_batch.h"
-#include "exec/int64_hash_table.h"
 #include "expr/evaluator.h"
 #include "expr/expr.h"
 #include "plan/logical_plan.h"
 #include "storage/table.h"
+#include "types/key_index.h"
 #include "types/value.h"
 
 namespace seltrig {
@@ -243,8 +242,8 @@ class ProjectOp : public PhysicalOperator {
 // bucket capacity reserved from the build side's estimated cardinality),
 // probes with batches of the left. Supports inner and left outer joins. Join
 // reordering puts the smaller input on the right, so the build is the cheap
-// side; one- and two-key integer joins hash raw int64 keys (Int64HashIndex)
-// instead of Row keys.
+// side. Build rows are bucketed by their key's KeyIndex slot, so one- and
+// two-key integer joins hash raw int64 keys instead of Row keys.
 class HashJoinOp : public PhysicalOperator {
  public:
   HashJoinOp(ExecContext* ctx, std::vector<const Row*> outer_rows,
@@ -264,15 +263,6 @@ class HashJoinOp : public PhysicalOperator {
   // false when a key is NULL (the row can match nothing).
   Result<bool> EvalKeys(const std::vector<ExprPtr>& keys, const ColumnBatch& batch,
                         size_t i);
-  // Packs the evaluated key_scratch_ into the fast path's int64 domain.
-  // Build keys must be kInt (and within int32 on the pair path), so false
-  // means degrade; a probe key may also be an integral double (Value::Compare
-  // equates Double(2.0) and Int(2)), and false means it matches nothing.
-  bool PackBuildKey(int64_t* out) const;
-  bool PackProbeKey(int64_t* out) const;
-  // Migrates the int64 fast-path table into the generic Row-keyed table
-  // (first build key outside the fast path's domain).
-  void DegradeToGenericTable();
 
   const LogicalJoin& node_;
   OperatorPtr left_;
@@ -281,18 +271,9 @@ class HashJoinOp : public PhysicalOperator {
   std::vector<ExprPtr> right_keys_;  // bound against the right child alone
   ExprPtr residual_;                 // over the concatenated row; nullable
 
-  // int64 fast paths (the TPC-H shapes: one surrogate-key equi conjunct, or
-  // two, as in Q5's `l_orderkey = o_orderkey AND l_suppkey = s_suppkey`): a
-  // raw open-addressing index over the build keys with per-slot bucket
-  // lists. kInt64 keys one-key joins by the key itself; kPair packs a
-  // two-key join's keys, both within int32, into one int64. Either degrades
-  // to the generic table the moment a build key leaves its domain, so
-  // mixed-type equality keeps Value::Compare semantics exactly.
-  enum class KeyPath { kGeneric, kInt64, kPair };
-  KeyPath key_path_ = KeyPath::kGeneric;
-  Int64HashIndex int_index_;
-  std::vector<std::vector<Row>> int_buckets_;
-  std::unordered_map<Row, std::vector<Row>, RowHash, RowEq> hash_table_;
+  // Build keys -> slot, and the build rows of each slot.
+  KeyIndex index_;
+  std::vector<std::vector<Row>> buckets_;
   size_t right_width_ = 0;
   EvalContext eval_ctx_;
   ColumnBatch left_batch_;
@@ -421,7 +402,7 @@ class DistinctOp : public PhysicalOperator {
 
  private:
   OperatorPtr child_;
-  std::unordered_set<Row, RowHash, RowEq> seen_;
+  KeyIndex seen_;
   Row row_scratch_;
 };
 

@@ -9,6 +9,7 @@
 #include "exec/column_batch.h"
 #include "expr/analysis.h"
 #include "types/date.h"
+#include "types/key_index.h"
 
 namespace seltrig {
 
@@ -268,16 +269,19 @@ Result<Value> EvalSubquery(const Expr& e, EvalContext& ctx) {
       SELTRIG_ASSIGN_OR_RETURN(Value probe, EvalExpr(*e.children[0], ctx));
       if (probe.is_null()) return Value::Null();
       if (!mat->set_built) {
+        mat->value_set.Reset(mat->rows.size());
         for (const Row& r : mat->rows) {
           if (r[0].is_null()) {
             mat->has_null = true;
           } else {
-            mat->value_set.insert(r[0]);
+            mat->value_set.FindOrInsert({&r[0], 1});
           }
         }
         mat->set_built = true;
       }
-      if (mat->value_set.count(probe) > 0) return Value::Bool(!e.negated);
+      if (mat->value_set.Find({&probe, 1}) != KeyIndex::kNone) {
+        return Value::Bool(!e.negated);
+      }
       if (mat->has_null) return Value::Null();
       return Value::Bool(e.negated);
     }

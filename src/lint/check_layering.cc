@@ -6,16 +6,59 @@
 // ColumnBatch and ExecContext — are suppressed edge-by-edge in
 // .lint-suppressions, each with its justification.
 //
+// The same DAG governs where code is defined: an out-of-line
+// `Class::Member` definition in a .cc must sit in the layer of a header that
+// declares `Class` (or in a class the .cc declares itself). Otherwise the
+// lower layer's library links against a higher layer's translation unit.
+//
 // Scope: src/ only. Tests, tools, and benches may include anything; they sit
 // above the whole library by construction.
 
+#include <algorithm>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "lint/function_scan.h"
 #include "lint/lint.h"
+#include "lint/token_util.h"
 
 namespace seltrig {
 namespace lint {
+namespace {
+
+// The layer directory of a src/ path ("" outside src/ or directly under it).
+std::string LayerOf(const std::string& path) {
+  if (path.rfind("src/", 0) != 0) return "";
+  const size_t slash = path.find('/', 4);
+  return slash == std::string::npos ? "" : path.substr(4, slash - 4);
+}
+
+// Names of the classes and structs `toks` defines (`class X {`,
+// `struct X : Base {`, `class SELTRIG_CAPABILITY("m") X final {`); forward
+// declarations, elaborated type names and `enum class` are not definitions.
+std::vector<std::string> DefinedClasses(const TokenStream& toks) {
+  std::vector<std::string> names;
+  for (size_t i = 1; i + 2 < toks.size(); ++i) {
+    if ((!IsIdent(toks[i], "class") && !IsIdent(toks[i], "struct")) ||
+        IsIdent(toks[i - 1], "enum")) {
+      continue;
+    }
+    size_t j = i + 1;
+    while (j + 1 < toks.size() && toks[j].text.rfind("SELTRIG_", 0) == 0) {
+      j = IsPunct(toks[j + 1], "(") ? MatchForward(toks, j + 1, "(", ")") + 1 : j + 1;
+    }
+    if (j + 1 < toks.size() && IsIdent(toks[j]) &&
+        (IsPunct(toks[j + 1], "{") || IsPunct(toks[j + 1], ":") ||
+         IsIdent(toks[j + 1], "final"))) {
+      names.push_back(toks[j].text);
+    }
+  }
+  return names;
+}
+
+}  // namespace
 
 LayerTable DefaultLayerTable() {
   // Rank = height in the dependency order; an include may only point at a
@@ -43,12 +86,18 @@ LayerTable DefaultLayerTable() {
 
 void CheckLayering(const std::vector<SourceFile>& files,
                    const LayerTable& table, std::vector<Diagnostic>* out) {
+  // Class name -> the layers of the src/ headers that define it.
+  std::map<std::string, std::set<std::string>> class_layers;
   for (const SourceFile& file : files) {
-    if (file.path.rfind("src/", 0) != 0) continue;
-    const std::string rel = file.path.substr(4);
-    const size_t slash = rel.find('/');
-    if (slash == std::string::npos) continue;  // file directly under src/
-    const std::string from_dir = rel.substr(0, slash);
+    if (LayerOf(file.path).empty() || !file.path.ends_with(".h")) continue;
+    for (const std::string& name : DefinedClasses(file.tokens)) {
+      class_layers[name].insert(LayerOf(file.path));
+    }
+  }
+
+  for (const SourceFile& file : files) {
+    const std::string from_dir = LayerOf(file.path);
+    if (from_dir.empty()) continue;  // outside src/, or directly under it
     const auto from_it = table.find(from_dir);
     if (from_it == table.end()) {
       out->push_back({file.path, 1, "layering",
@@ -83,6 +132,25 @@ void CheckLayering(const std::vector<SourceFile>& files,
                std::to_string(to_it->second) +
                "); invert the dependency or document the seam in "
                ".lint-suppressions"});
+    }
+
+    if (!file.path.ends_with(".cc")) continue;
+    const std::vector<std::string> own_classes = DefinedClasses(toks);
+    for (const FunctionDef& def : FindFunctionDefs(toks)) {
+      const auto layers = class_layers.find(def.qualifier);
+      if (layers == class_layers.end() || layers->second.count(from_dir) > 0 ||
+          std::find(own_classes.begin(), own_classes.end(), def.qualifier) !=
+              own_classes.end()) {
+        continue;
+      }
+      const std::string member = def.qualifier + "::" + def.name;
+      out->push_back({file.path, toks[def.body_open].line, "layering",
+                      file.path + ":defines:" + member,
+                      "src/" + from_dir + " defines " + member + ", but " +
+                          def.qualifier + " is declared in src/" +
+                          *layers->second.begin() +
+                          "; define it there, so that layer's code does not "
+                          "live in a higher layer's translation unit"});
     }
   }
 }

@@ -5,7 +5,8 @@
 //   fault-registry   every fault-point name flows through
 //                    common/fault_points.def; no literal spellings, no
 //                    unregistered or unused points
-//   layering         #include edges respect the declared layer order
+//   layering         #include edges respect the declared layer order, and
+//                    a class's out-of-line members stay in its layer
 //   lock-order       the global lock-acquisition graph is acyclic and no
 //                    lock is re-acquired while held
 //   status           (void)-dropped Status/Result calls carry a why-comment;

@@ -24,7 +24,7 @@ class SensitiveIdView {
   size_t size() const { return ids_.size(); }
   const std::unordered_set<Value, ValueHash, ValueEq>& ids() const { return ids_; }
 
-  std::vector<Value> SortedIds() const;
+  std::vector<Value> SortedIds() const { return SortedValues(ids_); }
 
   // Builds a Bloom filter over the current IDs (Section IV-A2's fallback for
   // sets too large to probe exactly). The filter is a snapshot: rebuild

@@ -1,5 +1,6 @@
 #include "types/value.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -88,7 +89,7 @@ std::string Value::ToString() const {
   return "?";
 }
 
-size_t RowHash::operator()(const Row& r) const {
+size_t RowHash::operator()(std::span<const Value> r) const {
   size_t h = 0x345678;
   for (const Value& v : r) {
     h = h * 1000003 ^ v.Hash();
@@ -96,12 +97,19 @@ size_t RowHash::operator()(const Row& r) const {
   return h;
 }
 
-bool RowEq::operator()(const Row& a, const Row& b) const {
+bool RowEq::operator()(std::span<const Value> a, std::span<const Value> b) const {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     if (a[i] != b[i]) return false;
   }
   return true;
+}
+
+std::vector<Value> SortedValues(const std::unordered_set<Value, ValueHash, ValueEq>& set) {
+  std::vector<Value> out(set.begin(), set.end());
+  std::sort(out.begin(), out.end(),
+            [](const Value& a, const Value& b) { return Value::Compare(a, b) < 0; });
+  return out;
 }
 
 std::string RowToString(const Row& row) {

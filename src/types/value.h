@@ -4,7 +4,9 @@
 #define SELTRIG_TYPES_VALUE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <unordered_set>
 #include <variant>
 #include <vector>
 
@@ -77,12 +79,20 @@ struct ValueHash {
 struct ValueEq {
   bool operator()(const Value& a, const Value& b) const { return a == b; }
 };
+// Row functors take any contiguous run of Values and are transparent, so a
+// Row-keyed container can be probed with a std::span key without building a
+// Row.
 struct RowHash {
-  size_t operator()(const Row& r) const;
+  using is_transparent = void;
+  size_t operator()(std::span<const Value> r) const;
 };
 struct RowEq {
-  bool operator()(const Row& a, const Row& b) const;
+  using is_transparent = void;
+  bool operator()(std::span<const Value> a, std::span<const Value> b) const;
 };
+
+// The members of `set` in Value::Compare order.
+std::vector<Value> SortedValues(const std::unordered_set<Value, ValueHash, ValueEq>& set);
 
 // Display form of a row: (a, b, c).
 std::string RowToString(const Row& row);

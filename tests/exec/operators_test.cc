@@ -1,6 +1,6 @@
 // Physical-operator unit tests over hand-built logical nodes (below the SQL
-// surface): exclusions, index-lookup scans, join edge cases, audit op
-// behavior without a registry.
+// surface): exclusions, index-lookup scans, join edge cases, a key-equality
+// oracle for every hash lookup, audit op behavior without a registry.
 
 #include "exec/operators.h"
 
@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <random>
+#include <string>
 #include <utility>
 
 #include "audit/accessed_state.h"
@@ -204,15 +206,22 @@ TEST_F(OperatorsTest, HashJoinSkipsNullKeys) {
   EXPECT_EQ(Run(*join).size(), 1u);
 }
 
-// Two-key hash joins `l.a = r.a AND l.b = r.b` over hand-filled tables,
-// checked as a bag against every (l, r) pair whose keys are non-NULL and
-// compare equal under Value::Compare. Column 0 of each table tags its rows.
-class PairKeyJoinTest : public OperatorsTest {
+// Every executor hash lookup keys through one KeyIndex: hash join, GROUP BY,
+// DISTINCT and the IN subquery. Each is checked here against a brute-force
+// oracle under Value::Compare, over hand-filled tables whose column 0 tags
+// the rows and whose next columns hold the keys.
+class KeyOracleTest : public OperatorsTest {
  protected:
-  std::shared_ptr<LogicalScan> Fill(const std::string& name, const std::vector<Row>& rows) {
+  static constexpr int64_t kWide = 5'000'000'000;  // beyond int32, exact as a double
+  // Beyond 2^53: Value::Compare widens it to the double 2^53, so it equals
+  // Double(2^53) without being that double's int64 value.
+  static constexpr int64_t kInexact = (int64_t{1} << 53) + 1;
+
+  std::shared_ptr<LogicalScan> Fill(const std::vector<Row>& rows) {
+    const std::string name = "k" + std::to_string(tables_++);
     Schema schema;
-    for (const char* col : {"id", "a", "b"}) {
-      schema.AddColumn({col, name, TypeId::kInt, true});
+    for (size_t c = 0; c < rows.front().size(); ++c) {
+      schema.AddColumn({"c" + std::to_string(c), name, TypeId::kInt, true});
     }
     auto table = catalog_.CreateTable(name, schema, -1);
     EXPECT_TRUE(table.ok());
@@ -224,43 +233,216 @@ class PairKeyJoinTest : public OperatorsTest {
     return scan;
   }
 
-  static std::vector<std::pair<int64_t, int64_t>> Tags(const std::vector<Row>& rows) {
+  // `n` rows tagged from `tag0` with `nkeys` key columns. The first `fast`
+  // rows draw only int32-range ints (the int64 path); the rest also draw
+  // integral and fractional doubles, wide ints (one beyond 2^53), a string,
+  // a bool and NULL, so an index migrates mid-stream and later ints must
+  // find earlier slots.
+  static std::vector<Row> Stream(size_t nkeys, size_t fast, size_t n, int64_t tag0,
+                                 uint32_t seed) {
+    const std::vector<Value> ints = {Value::Int(-7), Value::Int(0), Value::Int(1),
+                                     Value::Int(2), Value::Int(3)};
+    const std::vector<Value> mixed = {
+        Value::Int(1),
+        Value::Int(2),
+        Value::Int(-7),
+        Value::Double(2.0),
+        Value::Double(-7.0),
+        Value::Double(2.5),
+        Value::Int(kWide),
+        Value::Double(static_cast<double>(kWide)),
+        Value::Int(kInexact),
+        Value::Double(static_cast<double>(kInexact)),
+        Value::String("2"),
+        Value::Bool(true),
+        Value::Null()};
+    std::mt19937 rng(seed);
+    std::vector<Row> rows;
+    for (size_t i = 0; i < n; ++i) {
+      const std::vector<Value>& pool = i < fast ? ints : mixed;
+      Row row = {Value::Int(tag0 + static_cast<int64_t>(i))};
+      for (size_t k = 0; k < nkeys; ++k) row.push_back(pool[rng() % pool.size()]);
+      rows.push_back(std::move(row));
+    }
+    return rows;
+  }
+
+  // Key columns [1, 1 + nkeys) of `a` and `b` compare equal; NULL equals
+  // NULL only when `null_matches` (grouping), never for SQL equality.
+  static bool KeysEqual(const Row& a, const Row& b, size_t nkeys, bool null_matches) {
+    for (size_t k = 1; k <= nkeys; ++k) {
+      if (!null_matches && (a[k].is_null() || b[k].is_null())) return false;
+      if (Value::Compare(a[k], b[k]) != 0) return false;
+    }
+    return true;
+  }
+
+  // The same value of the same type (a group keeps its first-seen key).
+  static bool Identical(const Value& a, const Value& b) {
+    return a.type() == b.type() && Value::Compare(a, b) == 0;
+  }
+
+  static std::vector<std::pair<int64_t, int64_t>> Tags(const std::vector<Row>& rows,
+                                                       size_t right_tag) {
     std::vector<std::pair<int64_t, int64_t>> tags;
-    for (const Row& row : rows) tags.emplace_back(row[0].AsInt(), row[3].AsInt());
+    for (const Row& row : rows) tags.emplace_back(row[0].AsInt(), row[right_tag].AsInt());
     std::sort(tags.begin(), tags.end());
     return tags;
   }
 
+  // Inner join on key columns 1..nkeys of each side, as a bag of tag pairs.
   // `probe` is the left (probe) input, `build` the right (build) input.
-  void ExpectMatchesOracle(const std::vector<Row>& probe, const std::vector<Row>& build) {
+  void ExpectJoinMatchesOracle(const std::vector<Row>& probe, const std::vector<Row>& build,
+                               size_t nkeys) {
     auto join = std::make_shared<LogicalJoin>();
     join->join_type = JoinType::kInner;
-    const std::string suffix = std::to_string(joins_++);
-    join->children = {Fill("l" + suffix, probe), Fill("r" + suffix, build)};
+    join->children = {Fill(probe), Fill(build)};
     join->schema = Schema::Concat(join->children[0]->schema, join->children[1]->schema);
+    const size_t width = probe.front().size();
     std::vector<ExprPtr> keys;
-    keys.push_back(MakeComparison(CompareOp::kEq, MakeColumnRef(1, TypeId::kInt),
-                                  MakeColumnRef(4, TypeId::kInt)));
-    keys.push_back(MakeComparison(CompareOp::kEq, MakeColumnRef(2, TypeId::kInt),
-                                  MakeColumnRef(5, TypeId::kInt)));
+    for (size_t k = 1; k <= nkeys; ++k) {
+      keys.push_back(MakeComparison(CompareOp::kEq,
+                                    MakeColumnRef(static_cast<int>(k), TypeId::kInt),
+                                    MakeColumnRef(static_cast<int>(width + k), TypeId::kInt)));
+    }
     join->condition = CombineConjuncts(std::move(keys));
 
     std::vector<std::pair<int64_t, int64_t>> expected;
     for (const Row& l : probe) {
       for (const Row& r : build) {
-        bool match = true;
-        for (size_t k : {1u, 2u}) {
-          match = match && !l[k].is_null() && !r[k].is_null() &&
-                  Value::Compare(l[k], r[k]) == 0;
-        }
-        if (match) expected.emplace_back(l[0].AsInt(), r[0].AsInt());
+        if (KeysEqual(l, r, nkeys, false)) expected.emplace_back(l[0].AsInt(), r[0].AsInt());
       }
     }
     std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(Tags(Run(*join)), expected);
+    EXPECT_EQ(Tags(Run(*join), width), expected);
   }
 
-  int joins_ = 0;
+  // GROUP BY key columns 1..nkeys with COUNT(*) and SUM(tag): one row per
+  // group, keyed by its first-seen key, in first-seen order.
+  void ExpectGroupByMatchesOracle(const std::vector<Row>& rows, size_t nkeys) {
+    auto agg = std::make_shared<LogicalAggregate>();
+    agg->children = {Fill(rows)};
+    for (size_t k = 1; k <= nkeys; ++k) {
+      agg->group_exprs.push_back(MakeColumnRef(static_cast<int>(k), TypeId::kInt));
+      agg->schema.AddColumn({"c" + std::to_string(k), "", TypeId::kInt, true});
+    }
+    AggregateSpec count;
+    count.name = "n";
+    agg->aggregates.push_back(std::move(count));
+    AggregateSpec sum;
+    sum.kind = AggKind::kSum;
+    sum.arg = MakeColumnRef(0, TypeId::kInt);
+    sum.name = "tags";
+    agg->aggregates.push_back(std::move(sum));
+    agg->schema.AddColumn({"n", "", TypeId::kInt, false});
+    agg->schema.AddColumn({"tags", "", TypeId::kInt, true});
+
+    std::vector<Row> groups;  // first-seen key row, count, tag sum
+    std::vector<std::pair<int64_t, int64_t>> totals;
+    for (const Row& row : rows) {
+      size_t g = 0;
+      while (g < groups.size() && !KeysEqual(groups[g], row, nkeys, true)) ++g;
+      if (g == groups.size()) {
+        groups.push_back(row);
+        totals.emplace_back(0, 0);
+      }
+      totals[g].first++;
+      totals[g].second += row[0].AsInt();
+    }
+    const std::vector<Row> out = Run(*agg);
+    ASSERT_EQ(out.size(), groups.size());
+    for (size_t g = 0; g < groups.size(); ++g) {
+      for (size_t k = 0; k < nkeys; ++k) {
+        EXPECT_TRUE(Identical(out[g][k], groups[g][k + 1]))
+            << "group " << g << ": " << RowToString(out[g]) << " vs "
+            << RowToString(groups[g]);
+      }
+      EXPECT_EQ(out[g][nkeys].AsInt(), totals[g].first) << "group " << g;
+      EXPECT_EQ(out[g][nkeys + 1].AsInt(), totals[g].second) << "group " << g;
+    }
+  }
+
+  // DISTINCT over key columns 1..nkeys: each key's first occurrence, in
+  // input order.
+  void ExpectDistinctMatchesOracle(const std::vector<Row>& rows, size_t nkeys) {
+    auto keys = std::make_shared<LogicalProject>();
+    keys->children = {Fill(rows)};
+    for (size_t k = 1; k <= nkeys; ++k) {
+      keys->exprs.push_back(MakeColumnRef(static_cast<int>(k), TypeId::kInt));
+      keys->schema.AddColumn({"c" + std::to_string(k), "", TypeId::kInt, true});
+    }
+    auto distinct = std::make_shared<LogicalDistinct>();
+    distinct->schema = keys->schema;
+    distinct->children = {keys};
+
+    std::vector<Row> firsts;
+    for (const Row& row : rows) {
+      bool seen = false;
+      for (const Row& f : firsts) seen = seen || KeysEqual(f, row, nkeys, true);
+      if (!seen) firsts.push_back(row);
+    }
+    const std::vector<Row> out = Run(*distinct);
+    ASSERT_EQ(out.size(), firsts.size());
+    for (size_t i = 0; i < firsts.size(); ++i) {
+      for (size_t k = 0; k < nkeys; ++k) {
+        EXPECT_TRUE(Identical(out[i][k], firsts[i][k + 1]))
+            << "row " << i << ": " << RowToString(out[i]) << " vs " << RowToString(firsts[i]);
+      }
+    }
+  }
+
+  // `c1 [NOT] IN (SELECT c1 FROM set)` for every probe row, three-valued:
+  // NULL for a NULL probe, or for no match against a set holding a NULL.
+  void ExpectInMatchesOracle(const std::vector<Row>& probe, const std::vector<Row>& set,
+                             bool negated) {
+    auto values = std::make_shared<LogicalProject>();
+    values->children = {Fill(set)};
+    values->exprs.push_back(MakeColumnRef(1, TypeId::kInt));
+    values->schema.AddColumn({"c1", "", TypeId::kInt, true});
+    auto in = std::make_unique<Expr>(ExprKind::kSubquery);
+    in->result_type = TypeId::kBool;
+    in->subquery_kind = SubqueryKind::kIn;
+    in->negated = negated;
+    in->subquery_plan = values;
+    in->children.push_back(MakeColumnRef(1, TypeId::kInt));
+    auto project = std::make_shared<LogicalProject>();
+    project->children = {Fill(probe)};
+    project->exprs.push_back(MakeColumnRef(0, TypeId::kInt));
+    project->exprs.push_back(std::move(in));
+    project->schema.AddColumn({"tag", "", TypeId::kInt, false});
+    project->schema.AddColumn({"in", "", TypeId::kBool, true});
+
+    const std::vector<Row> out = Run(*project);
+    ASSERT_EQ(out.size(), probe.size());
+    for (size_t i = 0; i < probe.size(); ++i) {
+      const Value& p = probe[i][1];
+      bool found = false;
+      bool set_has_null = false;
+      for (const Row& s : set) {
+        set_has_null = set_has_null || s[1].is_null();
+        found = found || (!s[1].is_null() && Value::Compare(p, s[1]) == 0);
+      }
+      Value expected = Value::Bool(negated);
+      if (p.is_null() || (!found && set_has_null)) {
+        expected = Value::Null();
+      } else if (found) {
+        expected = Value::Bool(!negated);
+      }
+      EXPECT_TRUE(Identical(out[i][1], expected))
+          << p.ToString() << (negated ? " NOT IN" : " IN") << ": got "
+          << out[i][1].ToString() << ", want " << expected.ToString();
+    }
+  }
+
+  int tables_ = 0;
+};
+
+// Two-key hash joins `l.a = r.a AND l.b = r.b` on hand-picked keys.
+class PairKeyJoinTest : public KeyOracleTest {
+ protected:
+  void ExpectMatchesOracle(const std::vector<Row>& probe, const std::vector<Row>& build) {
+    ExpectJoinMatchesOracle(probe, build, 2);
+  }
 };
 
 TEST_F(PairKeyJoinTest, NullInEitherKeyComponentNeverMatches) {
@@ -326,6 +508,69 @@ TEST_F(PairKeyJoinTest, DuplicateBuildKeysAllMatch) {
        {Value::Int(11), Value::Int(7), Value::Int(8)},
        {Value::Int(12), Value::Int(7), Value::Int(8)},
        {Value::Int(13), Value::Int(8), Value::Int(7)}});
+}
+
+TEST_F(KeyOracleTest, OneAndTwoKeyJoins) {
+  for (size_t nkeys : {1u, 2u}) {
+    SCOPED_TRACE("keys " + std::to_string(nkeys));
+    const std::vector<Row> probe = Stream(nkeys, 8, 64, 0, 1);
+    // An all-int build stays on the int64 path for every probe, integral
+    // doubles included; a mixed build migrates mid-build.
+    ExpectJoinMatchesOracle(probe, Stream(nkeys, 48, 48, 1000, 2), nkeys);
+    ExpectJoinMatchesOracle(probe, Stream(nkeys, 12, 48, 1000, 3), nkeys);
+  }
+  // An int beyond 2^53 is the only build key off the int64 path, and it
+  // equals the double it widens to.
+  const Value inexact_double = Value::Double(static_cast<double>(kInexact));
+  ExpectJoinMatchesOracle({{Value::Int(1), inexact_double}, {Value::Int(2), Value::Int(3)}},
+                          {{Value::Int(10), Value::Int(3)}, {Value::Int(11), Value::Int(kInexact)}},
+                          1);
+}
+
+TEST_F(KeyOracleTest, OneAndTwoExpressionGroupBy) {
+  for (size_t nkeys : {1u, 2u}) {
+    SCOPED_TRACE("keys " + std::to_string(nkeys));
+    ExpectGroupByMatchesOracle(Stream(nkeys, 64, 64, 0, 4), nkeys);
+    for (uint32_t seed : {5u, 6u, 7u}) {
+      ExpectGroupByMatchesOracle(Stream(nkeys, 10, 80, 0, seed), nkeys);
+    }
+  }
+  // A NULL group and a double key arriving after the int64 path started.
+  ExpectGroupByMatchesOracle({{Value::Int(1), Value::Int(7)},
+                              {Value::Int(2), Value::Null()},
+                              {Value::Int(3), Value::Int(7)},
+                              {Value::Int(4), Value::Double(7.0)},
+                              {Value::Int(5), Value::Null()},
+                              {Value::Int(6), Value::Int(8)},
+                              {Value::Int(7), Value::Double(8.0)}},
+                             1);
+}
+
+TEST_F(KeyOracleTest, Distinct) {
+  for (size_t nkeys : {1u, 2u, 3u}) {
+    SCOPED_TRACE("keys " + std::to_string(nkeys));
+    ExpectDistinctMatchesOracle(Stream(nkeys, 64, 64, 0, 8), nkeys);
+    ExpectDistinctMatchesOracle(Stream(nkeys, 10, 80, 0, 9), nkeys);
+  }
+}
+
+TEST_F(KeyOracleTest, InAndNotInSubqueries) {
+  std::vector<Row> probe = Stream(1, 0, 64, 0, 10);
+  probe.push_back({Value::Int(64), Value::Double(static_cast<double>(kInexact))});
+  // An all-int set (probed on the int64 path), a set that migrates
+  // mid-build, one holding a NULL, and one whose only key off the int64
+  // path is an int beyond 2^53.
+  const std::vector<std::vector<Row>> sets = {
+      Stream(1, 24, 24, 100, 11),
+      Stream(1, 6, 24, 100, 12),
+      {{Value::Int(100), Value::Int(2)}, {Value::Int(101), Value::Null()}},
+      {{Value::Int(100), Value::Int(3)}, {Value::Int(101), Value::Int(kInexact)}}};
+  for (size_t i = 0; i < sets.size(); ++i) {
+    for (bool negated : {false, true}) {
+      SCOPED_TRACE("set " + std::to_string(i) + (negated ? " NOT IN" : " IN"));
+      ExpectInMatchesOracle(probe, sets[i], negated);
+    }
+  }
 }
 
 TEST_F(OperatorsTest, LeftJoinAgainstEmptyRightPadsAllRows) {

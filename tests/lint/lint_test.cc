@@ -165,6 +165,25 @@ TEST(LayeringCheckTest, FlagsUpwardInclude) {
   EXPECT_EQ(LineOf(diags, "src/storage/layering_bad.cc->exec/operators.h"), 3);
 }
 
+TEST(LayeringCheckTest, FlagsMemberDefinedOutsideItsClassLayer) {
+  // A storage class with a member defined in an audit .cc links the storage
+  // library against audit, as SensitiveIdView::SortedIds once did.
+  const SourceFile header = Fix("layering_owner.h", "src/storage/owner_view.h");
+  std::vector<Diagnostic> diags;
+  CheckLayering({header, Fix("layering_member_bad.cc", "src/audit/owner_user.cc")},
+                DefaultLayerTable(), &diags);
+  EXPECT_EQ(Details(diags),
+            (std::multiset<std::string>{
+                "src/audit/owner_user.cc:defines:OwnerView::SortedIds"}));
+  EXPECT_EQ(LineOf(diags, "src/audit/owner_user.cc:defines:OwnerView::SortedIds"), 14);
+
+  // The same definition in the header's own layer is clean.
+  diags.clear();
+  CheckLayering({header, Fix("layering_member_bad.cc", "src/storage/owner_view.cc")},
+                DefaultLayerTable(), &diags);
+  EXPECT_TRUE(diags.empty()) << FormatDiagnostic(diags.front());
+}
+
 // --- lock-order -------------------------------------------------------------
 
 TEST(LockOrderCheckTest, FlagsCycleAndRecursionButNotHandoff) {

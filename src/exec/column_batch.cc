@@ -1,13 +1,15 @@
 #include "exec/column_batch.h"
 
+#include <utility>
+
 namespace seltrig {
 
 void ColumnBatch::ApplyProjection(const std::vector<int>& projection) {
+  // Each source column moves out exactly once, so a swap is enough; the
+  // columns left behind keep their storage in the scratch for reuse.
   proj_scratch_.resize(projection.size());
   for (size_t i = 0; i < projection.size(); ++i) {
-    const ColumnVector& src = cols_[static_cast<size_t>(projection[i])];
-    assert(src.is_view() && "ApplyProjection is view-mode only");
-    proj_scratch_[i].BindView(src.view());
+    std::swap(proj_scratch_[i], cols_[static_cast<size_t>(projection[i])]);
   }
   cols_.swap(proj_scratch_);
 }

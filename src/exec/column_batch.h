@@ -2,12 +2,14 @@
 // a set of ColumnVectors (exec/column_vector.h) plus an optional selection
 // vector over physical row indexes.
 //
-// Producers either bind zero-copy table views (scans: physical indexes are
-// table slot ids, the selection holds the live slots) or append rows into
-// owned columns (joins, aggregates, sorts, VALUES). In-place operators
-// (filter, audit, limit, distinct) narrow the *selection* without touching
-// column storage. Consumers only ever see the logical view: `size()` logical
-// rows addressed through GetValue(col, i) or the row-materialization shim.
+// Every column reads through one `const TableColumn&`. Scans bind the
+// table's columns (physical indexes are table slot ids, the selection holds
+// the live slots); every other producer (joins, aggregates, sorts, projects,
+// VALUES) appends into owned columns typed by its plan node's schema. No
+// consumer needs to know which: in-place operators (filter, audit, limit,
+// distinct) narrow the *selection* without touching column storage, and
+// consumers see `size()` logical rows addressed through GetValue(col, i) or
+// the row-materialization shim.
 //
 // Column storage is retained across Clear()/ResetOwned() calls, so a batch
 // that is refilled every iteration reaches a steady state with zero heap
@@ -19,14 +21,16 @@
 //
 // Thread confinement: a batch is used by one thread at a time (a serial
 // statement, or a morsel worker that fills it and then hands it to the
-// gathering thread after the workers join) — no locks, no annotations. View
-// bindings stay valid across workers and until the statement ends because
-// the statement holds the engine's shared storage lock for its full duration
+// gathering thread after the workers join) — no locks, no annotations. A
+// batch moves whole (its owned columns travel with it), and table bindings
+// stay valid across workers and until the statement ends because the
+// statement holds the engine's shared storage lock for its full duration
 // (docs/STATIC_ANALYSIS.md).
 
 #ifndef SELTRIG_EXEC_COLUMN_BATCH_H_
 #define SELTRIG_EXEC_COLUMN_BATCH_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -34,6 +38,7 @@
 #include <vector>
 
 #include "exec/column_vector.h"
+#include "types/schema.h"
 #include "types/value.h"
 
 namespace seltrig {
@@ -85,21 +90,16 @@ class ColumnBatch {
     MaterializeRow(i, &r);
     return r;
   }
-  // Like MaterializeRow, but moves cells out of owned columns (view cells are
-  // copied; table storage is never mutated through a batch).
-  void MoveRowTo(size_t i, Row* out) {
-    out->clear();
-    out->reserve(cols_.size());
-    const size_t phys = PhysicalIndex(i);
-    for (ColumnVector& col : cols_) col.MoveValueTo(phys, out);
-  }
 
   // --- Producer API: owned mode ---------------------------------------------
-  // Empties the batch and configures `width` owned columns (storage reused).
-  void ResetOwned(size_t width) {
+  // Empties the batch and configures one owned column per `schema` column,
+  // typed by its declared type (storage reused).
+  void ResetOwned(const Schema& schema) {
     Clear();
-    if (cols_.size() != width) cols_.resize(width);
-    for (ColumnVector& col : cols_) col.ResetOwned();
+    if (cols_.size() != schema.size()) cols_.resize(schema.size());
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      cols_[c].ResetOwned(schema.column(c).type);
+    }
   }
 
   // Appends one row by scattering its cells across the owned columns.
@@ -107,13 +107,13 @@ class ColumnBatch {
   void AppendRow(const Row& src) {
     assert(!has_selection_ && "AppendRow under an installed selection");
     assert(src.size() == cols_.size());
-    for (size_t c = 0; c < cols_.size(); ++c) cols_[c].Append(src[c]);
+    for (size_t c = 0; c < cols_.size(); ++c) cols_[c].owned()->Append(src[c]);
     ++count_;
   }
   void AppendRow(Row&& src) {
     assert(!has_selection_ && "AppendRow under an installed selection");
     assert(src.size() == cols_.size());
-    for (size_t c = 0; c < cols_.size(); ++c) cols_[c].Append(std::move(src[c]));
+    for (size_t c = 0; c < cols_.size(); ++c) cols_[c].owned()->Append(std::move(src[c]));
     ++count_;
   }
 
@@ -125,9 +125,9 @@ class ColumnBatch {
     assert(lw + right.size() == cols_.size());
     const size_t phys = left.PhysicalIndex(li);
     for (size_t c = 0; c < lw; ++c) {
-      cols_[c].Append(left.column(c).GetValue(phys));
+      cols_[c].owned()->AppendFrom(left.column(c).data(), phys);
     }
-    for (size_t c = 0; c < right.size(); ++c) cols_[lw + c].Append(right[c]);
+    for (size_t c = 0; c < right.size(); ++c) cols_[lw + c].owned()->Append(right[c]);
     ++count_;
   }
   // Left-outer pad: `left` row `li` concatenated with `pad` NULLs.
@@ -137,9 +137,9 @@ class ColumnBatch {
     assert(lw + pad == cols_.size());
     const size_t phys = left.PhysicalIndex(li);
     for (size_t c = 0; c < lw; ++c) {
-      cols_[c].Append(left.column(c).GetValue(phys));
+      cols_[c].owned()->AppendFrom(left.column(c).data(), phys);
     }
-    for (size_t c = 0; c < pad; ++c) cols_[lw + c].Append(Value::Null());
+    for (size_t c = 0; c < pad; ++c) cols_[lw + c].owned()->Append(Value::Null());
     ++count_;
   }
 
@@ -148,18 +148,16 @@ class ColumnBatch {
   void PopRow() {
     assert(!has_selection_ && "PopRow under an installed selection");
     assert(count_ > 0);
-    for (ColumnVector& col : cols_) col.PopBack();
+    for (ColumnVector& col : cols_) col.owned()->PopBack();
     --count_;
   }
 
-  // Bulk fill: swaps `src` (one equal-length Value vector per column) into
-  // the owned columns; the displaced storage rides back in *src for reuse.
-  void AdoptOwnedColumns(std::vector<std::vector<Value>>* src, size_t n) {
-    ResetOwned(src->size());
-    for (size_t c = 0; c < cols_.size(); ++c) {
-      assert((*src)[c].size() == n);
-      cols_[c].SwapValues(&(*src)[c]);
-    }
+  // Column-at-a-time fill: after ResetOwned, the producer appends `n` cells
+  // to every mutable_column(c).owned(), then declares the row count here.
+  void SetOwnedRowCount(size_t n) {
+    assert(!has_selection_);
+    assert(std::all_of(cols_.begin(), cols_.end(),
+                       [n](const ColumnVector& col) { return col.data().size() == n; }));
     count_ = n;
   }
 
@@ -173,8 +171,8 @@ class ColumnBatch {
   void BindViewColumn(size_t c, const TableColumn* col) {
     cols_[c].BindView(col);
   }
-  // Keeps only the view columns named by `projection`, in order (view
-  // bindings are pointer-cheap; owned columns must not be projected this way).
+  // Keeps only the columns named by `projection` (distinct indexes), in
+  // order.
   void ApplyProjection(const std::vector<int>& projection);
 
   // --- Selection ------------------------------------------------------------
@@ -217,7 +215,7 @@ class ColumnBatch {
 
  private:
   std::vector<ColumnVector> cols_;
-  size_t count_ = 0;  // physical rows in owned columns; 0 in view mode
+  size_t count_ = 0;  // physical rows in owned columns; 0 with table bindings
   std::vector<uint32_t> selection_;
   bool has_selection_ = false;
   // Scratch for ApplyProjection (storage reuse).

@@ -1,97 +1,83 @@
 // ColumnVector: one column of a ColumnBatch flowing through the vectorized
 // pipeline (exec/column_batch.h).
 //
-// A vector is in one of two modes:
+// Every read goes through one `const TableColumn&` (storage/column_store.h):
+// a typed array + null bitmap + string dictionary, or the exact generic
+// Value fallback (Rep::kValue). Where that column lives is the producer's
+// business:
 //
-//  - **view**: a zero-copy binding to a table column (storage/column_store.h)
-//    — typed array + null bitmap + string dictionary. Scans bind views;
-//    physical row indexes are table slot ids and the batch's selection vector
-//    holds the live slots. A view stays valid until the next mutation of the
-//    table, the same lifetime the old `const Row*` scan pointers had.
+//  - a scan binds the table's own column (BindView): zero-copy, physical row
+//    indexes are table slot ids and the batch's selection vector holds the
+//    live slots. The binding stays valid until the next mutation of the
+//    table;
 //
-//  - **owned**: a generic Value array the producer appends to (joins,
-//    aggregates, sorts, VALUES, and the row-pipeline escape hatch
-//    ExecOptions::columnar=false). Storage is retained across Reset() so a
-//    refilled batch reaches a steady state with zero heap allocation.
+//  - every other producer (joins, aggregates, sorts, projections, VALUES,
+//    the row-pipeline escape hatch ExecOptions::columnar=false) appends into
+//    a column the vector owns, typed by the plan node's schema (ResetOwned;
+//    strings excepted, see there). A cell of another type degrades the
+//    column to Rep::kValue, which keeps it exact; the next ResetOwned types
+//    it again. Storage is retained
+//    across resets, so a refilled batch reaches a steady state with zero
+//    heap allocation.
 //
-// Cell reads through GetValue() return the exact stored Value either way
-// (column_store.h's exactness contract), so audit probes and row images are
-// independent of the mode.
+// The owned column lives on the heap (allocated by the first ResetOwned and
+// reused after), never inside the vector, so moving a vector (a gather
+// handing batches between threads, a vector of columns reallocating) keeps
+// its binding valid, and a vector stays two pointers wide. Binding a table
+// column allocates nothing.
+//
+// Cell reads return the exact stored Value either way (column_store.h's
+// exactness contract), so audit probes and row images do not depend on
+// where the column lives.
 
 #ifndef SELTRIG_EXEC_COLUMN_VECTOR_H_
 #define SELTRIG_EXEC_COLUMN_VECTOR_H_
 
-#include <cassert>
 #include <cstddef>
-#include <utility>
-#include <vector>
+#include <memory>
 
 #include "storage/column_store.h"
+#include "types/data_type.h"
 #include "types/value.h"
 
 namespace seltrig {
 
 class ColumnVector {
  public:
-  ColumnVector() = default;
+  // The column every read goes through (bound or reset first).
+  const TableColumn& data() const { return *col_; }
+  // True while a table column is bound.
+  bool is_view() const { return col_ != nullptr && col_ != owned_.get(); }
 
-  // --- Mode -----------------------------------------------------------------
-  bool is_view() const { return view_ != nullptr; }
-  // The bound table column; null in owned mode.
-  const TableColumn* view() const { return view_; }
+  // Binds table storage; the owned column keeps its storage for later reuse.
+  void BindView(const TableColumn* col) { col_ = col; }
 
-  // Binds table storage; previous owned storage is kept for later reuse.
-  void BindView(const TableColumn* col) { view_ = col; }
-
-  // Switches to owned mode and empties it (capacity retained).
-  void ResetOwned() {
-    view_ = nullptr;
-    values_.clear();
+  // Switches to the owned column, emptied and typed `type` (capacity kept).
+  // A string column stays generic (Rep::kValue): a dictionary rebuilt for
+  // every batch hashes and copies each cell for codes only that batch uses.
+  void ResetOwned(TypeId type) {
+    const TypeId rep_type = type == TypeId::kString ? TypeId::kNull : type;
+    if (owned_ == nullptr) {
+      owned_ = std::make_unique<TableColumn>(rep_type);
+    } else {
+      owned_->Reset(rep_type);
+    }
+    col_ = owned_.get();
   }
-
-  // --- Owned producer API -----------------------------------------------------
-  void Append(Value v) {
-    assert(!is_view());
-    values_.push_back(std::move(v));
-  }
-  void PopBack() {
-    assert(!is_view());
-    values_.pop_back();
-  }
-  size_t owned_size() const { return values_.size(); }
-  // Swaps the owned storage with `vals` (bulk fill from EvalExprBatch output;
-  // the displaced storage rides back to the caller for reuse).
-  void SwapValues(std::vector<Value>* vals) {
-    assert(!is_view());
-    values_.swap(*vals);
-  }
-  const std::vector<Value>& owned_values() const { return values_; }
+  // The owned column, for producers that append to it after ResetOwned.
+  TableColumn* owned() { return owned_.get(); }
 
   // --- Cell access (physical index) ------------------------------------------
-  Value GetValue(size_t phys) const {
-    return view_ != nullptr ? view_->Get(phys) : values_[phys];
-  }
+  Value GetValue(size_t phys) const { return data().Get(phys); }
   // Appends the cell to *out without an intermediate temporary.
-  void AppendValueTo(size_t phys, Row* out) const {
-    if (view_ != nullptr) {
-      view_->AppendTo(phys, out);
-    } else {
-      out->push_back(values_[phys]);
-    }
-  }
-  // Moves the cell out (owned mode) or copies it (view mode — table storage
-  // is never mutated through a batch).
-  void MoveValueTo(size_t phys, Row* out) {
-    if (view_ != nullptr) {
-      view_->AppendTo(phys, out);
-    } else {
-      out->push_back(std::move(values_[phys]));
-    }
-  }
+  void AppendValueTo(size_t phys, Row* out) const { data().AppendTo(phys, out); }
 
  private:
-  const TableColumn* view_ = nullptr;
-  std::vector<Value> values_;  // owned-mode storage, reused across resets
+  // The bound table column, or owned_.get().
+  const TableColumn* col_ = nullptr;
+  // Allocated by the first ResetOwned. It lives on the heap, so col_ stays
+  // valid when the vector moves.
+  std::unique_ptr<TableColumn> owned_;
 };
 
 }  // namespace seltrig

@@ -286,10 +286,7 @@ Result<std::vector<Row>> Executor::ExecutePlan(
     Result<bool> has = root->NextBatch(&batch);
     SELTRIG_RETURN_IF_ERROR(has.status());
     if (!*has) break;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      rows.emplace_back();
-      batch.MoveRowTo(i, &rows.back());
-    }
+    for (size_t i = 0; i < batch.size(); ++i) batch.MaterializeRow(i, &rows.emplace_back());
     SELTRIG_RETURN_IF_ERROR(fault::Maybe(fault_points::kExecutorBatch));
   }
   return rows;
@@ -325,7 +322,6 @@ Result<QueryResult> Executor::ExecuteQuery(const LogicalOperator& plan,
   bool any_hidden = visible.size() != plan.schema.size();
 
   ColumnBatch batch;
-  Row row_scratch;
   while (max_rows < 0 || static_cast<int64_t>(result.rows.size()) < max_rows) {
     Result<bool> has = root->NextBatch(&batch);
     SELTRIG_RETURN_IF_ERROR(has.status());
@@ -336,15 +332,12 @@ Result<QueryResult> Executor::ExecuteQuery(const LogicalOperator& plan,
       take = std::min(take, static_cast<size_t>(remaining));
     }
     for (size_t r = 0; r < take; ++r) {
+      Row& row = result.rows.emplace_back();
       if (any_hidden) {
-        batch.MoveRowTo(r, &row_scratch);
-        Row stripped;
-        stripped.reserve(visible.size());
-        for (int i : visible) stripped.push_back(std::move(row_scratch[i]));
-        result.rows.push_back(std::move(stripped));
+        row.reserve(visible.size());
+        for (int c : visible) row.push_back(batch.GetValue(static_cast<size_t>(c), r));
       } else {
-        result.rows.emplace_back();
-        batch.MoveRowTo(r, &result.rows.back());
+        batch.MaterializeRow(r, &row);
       }
     }
     SELTRIG_RETURN_IF_ERROR(fault::Maybe(fault_points::kExecutorBatch));

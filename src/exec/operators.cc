@@ -102,6 +102,21 @@ void FormatProfileNode(const PhysicalOperator& op, int indent, std::string* out)
   }
 }
 
+// Pulls `child` to the end of its stream, appending every logical row to
+// *rows (the materializing operators' input loop).
+Status DrainRows(PhysicalOperator* child, std::vector<Row>* rows) {
+  ColumnBatch batch;
+  while (true) {
+    SELTRIG_ASSIGN_OR_RETURN(bool has, child->NextBatch(&batch));
+    if (!has) return Status::OK();
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch.MaterializeRow(i, &rows->emplace_back());
+    }
+  }
+}
+
+Status IntegerOutOfRange() { return Status::ExecutionError("integer out of range"); }
+
 }  // namespace
 
 int FindIndexableScanColumn(const Expr& pred) {
@@ -272,13 +287,8 @@ Status SeqScanOp::FillColumnarBatch(ColumnBatch* out) {
 Result<bool> SeqScanOp::NextBatchImpl(ColumnBatch* out) {
   if (node_.virtual_rows != nullptr) {
     const std::vector<Row>& rows = *node_.virtual_rows;
-    if (cursor_ >= rows.size()) return false;
-    out->ResetOwned(OutputWidth(rows.empty() ? 0 : rows[0].size()));
-    size_t end = std::min(rows.size(), cursor_ + batch_capacity_);
-    for (; cursor_ < end; ++cursor_) {
-      SELTRIG_RETURN_IF_ERROR(EmitIfPassing(rows[cursor_], out).status());
-    }
-    return true;
+    return EmitRows(node_.schema, rows.size(), &cursor_, out,
+                    [&](size_t i) { return EmitIfPassing(rows[i], out).status(); });
   }
   if (!NextSlots()) return false;
   if (ctx_->columnar()) {
@@ -288,7 +298,7 @@ Result<bool> SeqScanOp::NextBatchImpl(ColumnBatch* out) {
   // Row-pipeline escape hatch (ExecOptions::columnar = false): materialize
   // every live row and append generically — the honest row-at-a-time
   // baseline the benchmarks compare against.
-  out->ResetOwned(OutputWidth(table_->schema().size()));
+  out->ResetOwned(node_.schema);
   for (uint32_t slot : scan_slots_) {
     table_->MaterializeRow(slot, &row_scratch_);
     SELTRIG_RETURN_IF_ERROR(EmitIfPassing(row_scratch_, out).status());
@@ -343,16 +353,15 @@ Result<bool> ProjectOp::NextBatchImpl(ColumnBatch* out) {
   if (!has) return false;
   size_t n = out->size();
   if (n == 0) return true;
-  size_t ncols = node_.exprs.size();
-  if (cols_.size() != ncols) cols_.resize(ncols);
-  for (size_t c = 0; c < ncols; ++c) {
-    cols_[c].clear();
-    SELTRIG_RETURN_IF_ERROR(
-        EvalExprBatch(*node_.exprs[c], eval_ctx_, *out, &cols_[c]));
+  projected_.ResetOwned(node_.schema);
+  for (size_t c = 0; c < node_.exprs.size(); ++c) {
+    SELTRIG_RETURN_IF_ERROR(EvalExprBatch(*node_.exprs[c], eval_ctx_, *out,
+                                          projected_.mutable_column(c).owned()));
   }
-  // All inputs are evaluated; swap the result columns in as the batch's
-  // owned storage (the displaced vectors ride back into cols_ for reuse).
-  out->AdoptOwnedColumns(&cols_, n);
+  projected_.SetOwnedRowCount(n);
+  // All inputs are evaluated: the result becomes the output batch, and the
+  // input's storage rides back into projected_ for reuse.
+  std::swap(*out, projected_);
   return true;
 }
 
@@ -386,35 +395,26 @@ Status HashJoinOp::InitImpl() {
   left_matched_ = false;
 
   // Build side: size the table from the child's estimated cardinality up
-  // front (one allocation instead of a rehash cascade), and move rows out of
-  // the child's batches instead of copying them (view cells are copied; table
-  // storage is never moved from).
+  // front (one allocation instead of a rehash cascade).
   size_t estimate = EstimateCardinality(*node_.children[1], ctx_);
   index_.Reset(estimate);
   buckets_.clear();
   buckets_.reserve(estimate);
-  right_width_ = 0;
+  right_width_ = node_.children[1]->schema.size();
   ColumnBatch build_batch;
-  Row row;
   while (true) {
     Result<bool> has = right_->NextBatch(&build_batch);
     SELTRIG_RETURN_IF_ERROR(has.status());
     if (!*has) break;
     for (size_t i = 0; i < build_batch.size(); ++i) {
-      // Keys are evaluated against the batch first; the row is only
-      // materialized (moving owned cells out) afterwards.
+      // Keys are evaluated against the batch first; only a row with a
+      // matchable key is materialized.
       SELTRIG_ASSIGN_OR_RETURN(bool has_key, EvalKeys(right_keys_, build_batch, i));
       if (!has_key) continue;  // SQL equality never matches NULL keys
-      build_batch.MoveRowTo(i, &row);
-      right_width_ = row.size();
       auto [slot, inserted] = index_.FindOrInsert(key_scratch_);
       if (inserted) buckets_.emplace_back();
-      buckets_[slot].push_back(std::move(row));
+      build_batch.MaterializeRow(i, &buckets_[slot].emplace_back());
     }
-  }
-  if (right_width_ == 0) {
-    // Right side empty: width from the schema (needed for LEFT OUTER nulls).
-    right_width_ = node_.children[1]->schema.size();
   }
   return Status::OK();
 }
@@ -460,7 +460,7 @@ Result<bool> HashJoinOp::AdvanceLeft() {
 }
 
 Result<bool> HashJoinOp::NextBatchImpl(ColumnBatch* out) {
-  out->ResetOwned(node_.schema.size());
+  out->ResetOwned(node_.schema);
   while (out->size() < batch_capacity_) {
     if (!have_left_) {
       SELTRIG_ASSIGN_OR_RETURN(bool has, AdvanceLeft());
@@ -520,16 +520,7 @@ Status NLJoinOp::InitImpl() {
   right_idx_ = 0;
   left_matched_ = false;
   right_rows_.clear();
-  ColumnBatch batch;
-  while (true) {
-    Result<bool> has = right_->NextBatch(&batch);
-    SELTRIG_RETURN_IF_ERROR(has.status());
-    if (!*has) break;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      right_rows_.emplace_back();
-      batch.MoveRowTo(i, &right_rows_.back());
-    }
-  }
+  SELTRIG_RETURN_IF_ERROR(DrainRows(right_.get(), &right_rows_));
   right_width_ = node_.children[1]->schema.size();
   return Status::OK();
 }
@@ -555,7 +546,7 @@ Result<bool> NLJoinOp::AdvanceLeft() {
 }
 
 Result<bool> NLJoinOp::NextBatchImpl(ColumnBatch* out) {
-  out->ResetOwned(node_.schema.size());
+  out->ResetOwned(node_.schema);
   while (out->size() < batch_capacity_) {
     if (!have_left_) {
       SELTRIG_ASSIGN_OR_RETURN(bool has, AdvanceLeft());
@@ -625,8 +616,10 @@ Status HashAggregateOp::Accumulate(std::vector<AggState>* states, EvalContext& e
       case AggKind::kSum:
       case AggKind::kAvg:
         st.count++;
-        if (v.type() == TypeId::kInt) {
-          st.sum_int += v.AsInt();
+        if (spec.kind == AggKind::kSum && spec.result_type == TypeId::kInt &&
+            v.type() == TypeId::kInt &&
+            __builtin_add_overflow(st.sum_int, v.AsInt(), &st.sum_int)) {
+          return IntegerOutOfRange();
         }
         st.sum_double += v.NumericAsDouble();
         st.saw_value = true;
@@ -646,7 +639,8 @@ Status HashAggregateOp::Accumulate(std::vector<AggState>* states, EvalContext& e
   return Status::OK();
 }
 
-Value HashAggregateOp::Finalize(const AggregateSpec& spec, const AggState& st) const {
+Result<Value> HashAggregateOp::Finalize(const AggregateSpec& spec,
+                                        const AggState& st) const {
   if (spec.distinct) {
     size_t n = st.distinct == nullptr ? 0 : st.distinct->size();
     switch (spec.kind) {
@@ -656,7 +650,9 @@ Value HashAggregateOp::Finalize(const AggregateSpec& spec, const AggState& st) c
         if (n == 0) return Value::Null();
         if (spec.result_type == TypeId::kInt) {
           int64_t sum = 0;
-          for (const Value& v : *st.distinct) sum += v.AsInt();
+          for (const Value& v : *st.distinct) {
+            if (__builtin_add_overflow(sum, v.AsInt(), &sum)) return IntegerOutOfRange();
+          }
           return Value::Int(sum);
         }
         double sum = 0;
@@ -752,7 +748,8 @@ Status HashAggregateOp::InitImpl() {
     Row out = group_keys[g];
     out.reserve(out.size() + node_.aggregates.size());
     for (size_t i = 0; i < node_.aggregates.size(); ++i) {
-      out.push_back(Finalize(node_.aggregates[i], group_states[g][i]));
+      SELTRIG_ASSIGN_OR_RETURN(Value v, Finalize(node_.aggregates[i], group_states[g][i]));
+      out.push_back(std::move(v));
     }
     results_.push_back(std::move(out));
   }
@@ -760,13 +757,10 @@ Status HashAggregateOp::InitImpl() {
 }
 
 Result<bool> HashAggregateOp::NextBatchImpl(ColumnBatch* out) {
-  if (cursor_ >= results_.size()) return false;
-  out->ResetOwned(results_[cursor_].size());
-  size_t end = std::min(results_.size(), cursor_ + batch_capacity_);
-  for (; cursor_ < end; ++cursor_) {
-    out->AppendRow(std::move(results_[cursor_]));
-  }
-  return true;
+  return EmitRows(node_.schema, results_.size(), &cursor_, out, [&](size_t i) {
+    out->AppendRow(std::move(results_[i]));
+    return Status::OK();
+  });
 }
 
 // --- Sort ----------------------------------------------------------------
@@ -783,16 +777,7 @@ Status SortOp::InitImpl() {
   SELTRIG_RETURN_IF_ERROR(child_->Init());
   rows_.clear();
   cursor_ = 0;
-  ColumnBatch batch;
-  while (true) {
-    Result<bool> has = child_->NextBatch(&batch);
-    SELTRIG_RETURN_IF_ERROR(has.status());
-    if (!*has) break;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      rows_.emplace_back();
-      batch.MoveRowTo(i, &rows_.back());
-    }
-  }
+  SELTRIG_RETURN_IF_ERROR(DrainRows(child_.get(), &rows_));
   // Precompute key values per row to keep the comparator total and cheap.
   size_t nkeys = node_.keys.size();
   EvalContext ec = MakeEvalContext(nullptr);
@@ -823,13 +808,10 @@ Status SortOp::InitImpl() {
 }
 
 Result<bool> SortOp::NextBatchImpl(ColumnBatch* out) {
-  if (cursor_ >= rows_.size()) return false;
-  out->ResetOwned(rows_[cursor_].size());
-  size_t end = std::min(rows_.size(), cursor_ + batch_capacity_);
-  for (; cursor_ < end; ++cursor_) {
-    out->AppendRow(std::move(rows_[cursor_]));
-  }
-  return true;
+  return EmitRows(node_.schema, rows_.size(), &cursor_, out, [&](size_t i) {
+    out->AppendRow(std::move(rows_[i]));
+    return Status::OK();
+  });
 }
 
 // --- Limit ---------------------------------------------------------------
@@ -914,70 +896,60 @@ Status ValuesOp::InitImpl() {
 }
 
 Result<bool> ValuesOp::NextBatchImpl(ColumnBatch* out) {
-  if (cursor_ >= node_.rows.size()) return false;
-  out->ResetOwned(node_.rows[cursor_].size());
-  size_t end = std::min(node_.rows.size(), cursor_ + batch_capacity_);
-  for (; cursor_ < end; ++cursor_) {
-    const auto& exprs = node_.rows[cursor_];
+  return EmitRows(node_.schema, node_.rows.size(), &cursor_, out, [&](size_t i) {
     row_scratch_.clear();
-    row_scratch_.reserve(exprs.size());
+    row_scratch_.reserve(node_.rows[i].size());
     eval_ctx_.BindRow(nullptr);
-    for (const auto& e : exprs) {
+    for (const auto& e : node_.rows[i]) {
       SELTRIG_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, eval_ctx_));
       row_scratch_.push_back(std::move(v));
     }
     out->AppendRow(std::move(row_scratch_));
-  }
-  return true;
+    return Status::OK();
+  });
 }
 
 // --- PhysicalAuditOp ---------------------------------------------------------
 
 namespace {
 
-// Bloom pre-screen over the raw key column, hashing typed cells directly —
-// no Value construction per row. The per-type hashes mirror Value::Hash
-// exactly (ints hash through double so Int(2) and Double(2.0) screen
-// identically; dates/bools hash their int64 slot), so the screen's one-sided
-// error is unchanged from the generic path. Strings and degraded columns
-// fall back to per-cell Values.
-bool AnyKeyMaybeInScreen(const ColumnBatch& batch, const ColumnVector& key_col,
+// Bloom pre-screen over the key column, hashing typed cells directly — no
+// Value construction per row. The per-type hashes mirror Value::Hash exactly
+// (ints hash through double so Int(2) and Double(2.0) screen identically;
+// dates/bools hash their int64 slot), so the screen's one-sided error is the
+// generic path's. Strings and degraded columns hash per-cell Values.
+bool AnyKeyMaybeInScreen(const ColumnBatch& batch, const TableColumn& key_col,
                          const BloomFilter& screen) {
   const size_t n = batch.size();
-  const TableColumn* view = key_col.view();
-  if (view != nullptr && (view->rep() == TableColumn::Rep::kInt64 ||
-                          view->rep() == TableColumn::Rep::kDouble)) {
-    const NullBits& nulls = view->nulls();
-    const bool has_nulls = nulls.any();
-    if (view->rep() == TableColumn::Rep::kInt64) {
-      const int64_t* data = view->ints();
-      const bool hash_as_double = view->type() == TypeId::kInt;
-      for (size_t i = 0; i < n; ++i) {
-        const size_t phys = batch.PhysicalIndex(i);
-        if (has_nulls && nulls.Test(phys)) continue;
-        const size_t h =
-            hash_as_double
-                ? std::hash<double>{}(static_cast<double>(data[phys]))
-                : std::hash<int64_t>{}(data[phys]);
-        if (screen.MayContain(static_cast<uint64_t>(h))) return true;
-      }
-      return false;
-    }
-    const double* data = view->doubles();
+  const NullBits& nulls = key_col.nulls();
+  const bool has_nulls = nulls.any();
+  if (key_col.rep() == TableColumn::Rep::kInt64) {
+    const int64_t* data = key_col.ints();
+    const bool hash_as_double = key_col.type() == TypeId::kInt;
     for (size_t i = 0; i < n; ++i) {
       const size_t phys = batch.PhysicalIndex(i);
       if (has_nulls && nulls.Test(phys)) continue;
-      if (screen.MayContain(
-              static_cast<uint64_t>(std::hash<double>{}(data[phys])))) {
+      const size_t h = hash_as_double
+                           ? std::hash<double>{}(static_cast<double>(data[phys]))
+                           : std::hash<int64_t>{}(data[phys]);
+      if (screen.MayContain(static_cast<uint64_t>(h))) return true;
+    }
+    return false;
+  }
+  if (key_col.rep() == TableColumn::Rep::kDouble) {
+    const double* data = key_col.doubles();
+    for (size_t i = 0; i < n; ++i) {
+      const size_t phys = batch.PhysicalIndex(i);
+      if (has_nulls && nulls.Test(phys)) continue;
+      if (screen.MayContain(static_cast<uint64_t>(std::hash<double>{}(data[phys])))) {
         return true;
       }
     }
     return false;
   }
   for (size_t i = 0; i < n; ++i) {
-    const Value key = key_col.GetValue(batch.PhysicalIndex(i));
-    if (!key.is_null() &&
-        screen.MayContain(static_cast<uint64_t>(key.Hash()))) {
+    const Value key = key_col.Get(batch.PhysicalIndex(i));
+    if (!key.is_null() && screen.MayContain(static_cast<uint64_t>(key.Hash()))) {
       return true;
     }
   }
@@ -1023,7 +995,7 @@ Result<bool> PhysicalAuditOp::NextBatchImpl(ColumnBatch* out) {
   }
   const int kc = node_.key_column;
   if (kc >= static_cast<int>(out->num_columns())) return true;
-  const ColumnVector& key_col = out->column(static_cast<size_t>(kc));
+  const TableColumn& key_col = out->column(static_cast<size_t>(kc)).data();
 
   // Bloom pre-screen (exact ID-view probes only): one pass over the batch's
   // key column against the view's summary. A clean batch — the common case
@@ -1038,7 +1010,7 @@ Result<bool> PhysicalAuditOp::NextBatchImpl(ColumnBatch* out) {
   }
 
   for (size_t i = 0; i < n; ++i) {
-    const Value key = key_col.GetValue(out->PhysicalIndex(i));
+    const Value key = key_col.Get(out->PhysicalIndex(i));
     if (key.is_null()) continue;
     bool hit;
     if (node_.bloom != nullptr) {

@@ -12,6 +12,7 @@
 #ifndef SELTRIG_EXEC_OPERATORS_H_
 #define SELTRIG_EXEC_OPERATORS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -106,6 +107,21 @@ class PhysicalOperator {
     return ec;
   }
 
+  // Emits source rows [*cursor, *cursor + batch_capacity_) of a `total`-row
+  // source as one owned batch typed by `schema`; `append(i)` appends source
+  // row i to `out` (or skips it) and returns a Status. Returns false, with
+  // nothing emitted, once *cursor reaches `total`. The one emit loop of
+  // every operator that produces from rows it holds.
+  template <typename AppendFn>
+  Result<bool> EmitRows(const Schema& schema, size_t total, size_t* cursor,
+                        ColumnBatch* out, const AppendFn& append) {
+    if (*cursor >= total) return false;
+    out->ResetOwned(schema);
+    const size_t end = std::min(total, *cursor + batch_capacity_);
+    for (; *cursor < end; ++*cursor) SELTRIG_RETURN_IF_ERROR(append(*cursor));
+    return true;
+  }
+
   ExecContext* ctx_;
   std::vector<const Row*> outer_rows_;
   size_t batch_capacity_;
@@ -166,11 +182,6 @@ class SeqScanOp : public PhysicalOperator {
   // Columnar emit: binds zero-copy views over the table columns, installs
   // scan_slots_ as the selection, narrows it by exclusions and the filter.
   Status FillColumnarBatch(ColumnBatch* out);
-  // Owned-batch width for the materializing paths.
-  size_t OutputWidth(size_t src_width) const {
-    return node_.projection.empty() ? src_width : node_.projection.size();
-  }
-
   const LogicalScan& node_;
   Table* table_;  // null for virtual scans
   size_t cursor_ = 0;
@@ -216,8 +227,9 @@ class FilterOp : public PhysicalOperator {
 };
 
 // Evaluates the projection expressions column-at-a-time over the child's
-// batch (EvalExprBatch) and swaps the results in as the batch's owned
-// columns — one output column per expression, no per-row Row temporaries.
+// batch (EvalExprBatch) into owned columns typed by the node's schema, then
+// swaps that batch in as the output — one output column per expression, no
+// per-row Row temporaries.
 class ProjectOp : public PhysicalOperator {
  public:
   ProjectOp(ExecContext* ctx, std::vector<const Row*> outer_rows,
@@ -232,18 +244,18 @@ class ProjectOp : public PhysicalOperator {
   const LogicalProject& node_;
   OperatorPtr child_;
   EvalContext eval_ctx_;
-  // Per-expression output columns for the current batch (EvalExprBatch);
-  // swapped into the output batch via AdoptOwnedColumns and back for reuse.
-  std::vector<std::vector<Value>> cols_;
+  // The output being filled; it and the input batch trade storage every
+  // call.
+  ColumnBatch projected_;
 };
 
 // Hash join over extracted equi-key conjuncts, with residual predicate.
-// Builds on the right child (moving rows out of the child's batches, with
-// bucket capacity reserved from the build side's estimated cardinality),
-// probes with batches of the left. Supports inner and left outer joins. Join
-// reordering puts the smaller input on the right, so the build is the cheap
-// side. Build rows are bucketed by their key's KeyIndex slot, so one- and
-// two-key integer joins hash raw int64 keys instead of Row keys.
+// Builds on the right child (with bucket capacity reserved from the build
+// side's estimated cardinality), probes with batches of the left. Supports
+// inner and left outer joins. Join reordering puts the smaller input on the
+// right, so the build is the cheap side. Build rows are bucketed by their
+// key's KeyIndex slot, so one- and two-key integer joins hash raw int64 keys
+// instead of Row keys.
 class HashJoinOp : public PhysicalOperator {
  public:
   HashJoinOp(ExecContext* ctx, std::vector<const Row*> outer_rows,
@@ -345,7 +357,7 @@ class HashAggregateOp : public PhysicalOperator {
 
   // Folds the row currently bound in `ec` into `states`.
   Status Accumulate(std::vector<AggState>* states, EvalContext& ec);
-  Value Finalize(const AggregateSpec& spec, const AggState& state) const;
+  Result<Value> Finalize(const AggregateSpec& spec, const AggState& state) const;
 
   const LogicalAggregate& node_;
   OperatorPtr child_;

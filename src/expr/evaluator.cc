@@ -15,6 +15,8 @@ namespace seltrig {
 
 namespace {
 
+Status IntegerOutOfRange() { return Status::ExecutionError("integer out of range"); }
+
 Result<Value> EvalComparison(const Expr& e, EvalContext& ctx) {
   SELTRIG_ASSIGN_OR_RETURN(Value lhs, EvalExpr(*e.children[0], ctx));
   SELTRIG_ASSIGN_OR_RETURN(Value rhs, EvalExpr(*e.children[1], ctx));
@@ -41,7 +43,11 @@ Result<Value> EvalArith(const Expr& e, EvalContext& ctx) {
   if (e.arith_op == ArithOp::kNeg) {
     SELTRIG_ASSIGN_OR_RETURN(Value v, EvalExpr(*e.children[0], ctx));
     if (v.is_null()) return Value::Null();
-    if (v.type() == TypeId::kInt) return Value::Int(-v.AsInt());
+    if (v.type() == TypeId::kInt) {
+      int64_t r = 0;
+      if (__builtin_sub_overflow(int64_t{0}, v.AsInt(), &r)) return IntegerOutOfRange();
+      return Value::Int(r);
+    }
     if (v.type() == TypeId::kDouble) return Value::Double(-v.AsDouble());
     return Status::ExecutionError("cannot negate " + v.ToString());
   }
@@ -82,17 +88,23 @@ Result<Value> EvalArith(const Expr& e, EvalContext& ctx) {
     return Value::Double(lhs.NumericAsDouble() / d);
   }
   if (lhs.type() == TypeId::kInt && rhs.type() == TypeId::kInt) {
-    int64_t a = lhs.AsInt(), b = rhs.AsInt();
+    int64_t a = lhs.AsInt(), b = rhs.AsInt(), r = 0;
+    bool overflow = false;
     switch (e.arith_op) {
       case ArithOp::kAdd:
-        return Value::Int(a + b);
-      case ArithOp::kSub:
-        return Value::Int(a - b);
-      case ArithOp::kMul:
-        return Value::Int(a * b);
-      default:
+        overflow = __builtin_add_overflow(a, b, &r);
         break;
+      case ArithOp::kSub:
+        overflow = __builtin_sub_overflow(a, b, &r);
+        break;
+      case ArithOp::kMul:
+        overflow = __builtin_mul_overflow(a, b, &r);
+        break;
+      default:
+        return Status::Internal("bad arith op");
     }
+    if (overflow) return IntegerOutOfRange();
+    return Value::Int(r);
   }
   double a = lhs.NumericAsDouble(), b = rhs.NumericAsDouble();
   switch (e.arith_op) {
@@ -194,7 +206,10 @@ Result<Value> EvalFunction(const Expr& e, EvalContext& ctx) {
     case FunctionId::kAbs: {
       SELTRIG_ASSIGN_OR_RETURN(Value v, EvalExpr(*e.children[0], ctx));
       if (v.is_null()) return Value::Null();
-      if (v.type() == TypeId::kInt) return Value::Int(std::llabs(v.AsInt()));
+      if (v.type() == TypeId::kInt) {
+        if (v.AsInt() == INT64_MIN) return IntegerOutOfRange();
+        return Value::Int(std::llabs(v.AsInt()));
+      }
       if (v.type() == TypeId::kDouble) return Value::Double(std::fabs(v.AsDouble()));
       return Status::ExecutionError("ABS expects a number");
     }
@@ -487,127 +502,114 @@ void SimplePredicate::Term::FilterBatch(ColumnBatch* batch) const {
   std::vector<uint32_t> keep;
   keep.reserve(n);
 
-  const ColumnVector& cv = batch->column(static_cast<size_t>(column));
-  const TableColumn* view = cv.view();
+  const TableColumn& col = batch->column(static_cast<size_t>(column)).data();
   auto decide = [this](int c) { return DecideCmp(c); };
-  bool typed = false;
-  if (view != nullptr && view->rep() != TableColumn::Rep::kValue) {
-    const TypeId col_type = view->type();
-    const TypeId const_type = constant.type();
-    typed = true;
-    if (view->rep() == TableColumn::Rep::kInt64 && col_type == TypeId::kInt &&
-        const_type == TypeId::kInt) {
-      // Int vs int: exact 64-bit compare.
-      const int64_t* data = view->ints();
-      const int64_t c = constant.AsInt();
-      FilterTyped(*batch, *view, decide,
-                  [&](size_t p) { return Sign3(data[p], c); }, &keep);
-    } else if (view->rep() == TableColumn::Rep::kInt64 &&
-               col_type == TypeId::kInt && const_type == TypeId::kDouble) {
-      // Cross-type numeric: both widened to double (Value::Compare).
-      const int64_t* data = view->ints();
-      const double c = constant.AsDouble();
-      FilterTyped(*batch, *view, decide,
-                  [&](size_t p) { return Sign3(static_cast<double>(data[p]) - c); },
-                  &keep);
-    } else if (view->rep() == TableColumn::Rep::kDouble &&
-               (const_type == TypeId::kDouble || const_type == TypeId::kInt)) {
-      const double* data = view->doubles();
-      const double c = constant.NumericAsDouble();
-      FilterTyped(*batch, *view, decide,
-                  [&](size_t p) { return Sign3(data[p] - c); }, &keep);
-    } else if (view->rep() == TableColumn::Rep::kInt64 && col_type == const_type) {
-      // Same-type bool/date: raw int64 compare (Value::Compare's same-type
-      // arm for int64-backed types).
-      const int64_t* data = view->ints();
-      const int64_t c = const_type == TypeId::kBool
-                            ? (constant.AsBool() ? 1 : 0)
-                            : static_cast<int64_t>(constant.AsDate());
-      FilterTyped(*batch, *view, decide,
-                  [&](size_t p) { return Sign3(data[p], c); }, &keep);
-    } else if (view->rep() == TableColumn::Rep::kString &&
-               const_type == TypeId::kString &&
-               (op == CompareOp::kEq || op == CompareOp::kNe)) {
-      // Dictionary equality: one string lookup decides via codes. A constant
-      // absent from the dictionary matches no stored string.
-      const uint32_t* codes = view->codes();
-      const int64_t code = view->dict()->Find(constant.AsString());
-      const bool want_eq = op == CompareOp::kEq;
-      FilterTyped(*batch, *view, [](int c) { return c != 0; },
-                  [&](size_t p) {
-                    bool eq = code >= 0 &&
-                              codes[p] == static_cast<uint32_t>(code);
-                    return (eq == want_eq) ? 1 : 0;
-                  },
-                  &keep);
-    } else if (view->rep() == TableColumn::Rep::kString &&
-               const_type == TypeId::kString) {
-      // Ordered string compare: the dictionary is tiny next to the row count,
-      // so compare each distinct string against the constant ONCE into a
-      // per-code sign table, then the per-row loop is a byte lookup instead
-      // of a string comparison.
-      const uint32_t* codes = view->codes();
-      const StringDict* dict = view->dict();
-      const std::string& c = constant.AsString();
-      std::vector<int8_t> sign(dict->size());
-      for (size_t code = 0; code < sign.size(); ++code) {
-        const int r = dict->At(static_cast<uint32_t>(code)).compare(c);
-        sign[code] = static_cast<int8_t>(r < 0 ? -1 : (r > 0 ? 1 : 0));
-      }
-      FilterTyped(*batch, *view, decide,
-                  [&](size_t p) { return static_cast<int>(sign[codes[p]]); },
-                  &keep);
-    } else {
-      // Mixed incomparable types: Value::Compare orders by type id, which is
-      // constant across the column's non-null rows.
-      const int c = static_cast<int>(col_type) < static_cast<int>(const_type)
-                        ? -1
-                        : (static_cast<int>(col_type) >
-                                   static_cast<int>(const_type)
-                               ? 1
-                               : 0);
-      FilterTyped(*batch, *view, decide, [&](size_t) { return c; }, &keep);
-    }
-  }
-  if (!typed) {
-    // Generic path: degraded (Rep::kValue) views and owned columns hold the
-    // exact stored Values inline — decide per cell with no construction.
-    const Value* vals =
-        view != nullptr ? view->values() : cv.owned_values().data();
+  const TypeId col_type = col.type();
+  const TypeId const_type = constant.type();
+  if (col.rep() == TableColumn::Rep::kValue) {
+    // Degraded columns hold the exact stored Values inline — decide per cell
+    // with no construction.
+    const Value* vals = col.values();
     for (size_t i = 0; i < n; ++i) {
       const size_t phys = batch->PhysicalIndex(i);
       if (Decide(vals[phys])) keep.push_back(static_cast<uint32_t>(phys));
     }
+  } else if (col.rep() == TableColumn::Rep::kInt64 && col_type == TypeId::kInt &&
+             const_type == TypeId::kInt) {
+    // Int vs int: exact 64-bit compare.
+    const int64_t* data = col.ints();
+    const int64_t c = constant.AsInt();
+    FilterTyped(*batch, col, decide, [&](size_t p) { return Sign3(data[p], c); },
+                &keep);
+  } else if (col.rep() == TableColumn::Rep::kInt64 && col_type == TypeId::kInt &&
+             const_type == TypeId::kDouble) {
+    // Cross-type numeric: both widened to double (Value::Compare).
+    const int64_t* data = col.ints();
+    const double c = constant.AsDouble();
+    FilterTyped(*batch, col, decide,
+                [&](size_t p) { return Sign3(static_cast<double>(data[p]) - c); },
+                &keep);
+  } else if (col.rep() == TableColumn::Rep::kDouble &&
+             (const_type == TypeId::kDouble || const_type == TypeId::kInt)) {
+    const double* data = col.doubles();
+    const double c = constant.NumericAsDouble();
+    FilterTyped(*batch, col, decide, [&](size_t p) { return Sign3(data[p] - c); },
+                &keep);
+  } else if (col.rep() == TableColumn::Rep::kInt64 && col_type == const_type) {
+    // Same-type bool/date: raw int64 compare (Value::Compare's same-type arm
+    // for int64-backed types).
+    const int64_t* data = col.ints();
+    const int64_t c = const_type == TypeId::kBool
+                          ? (constant.AsBool() ? 1 : 0)
+                          : static_cast<int64_t>(constant.AsDate());
+    FilterTyped(*batch, col, decide, [&](size_t p) { return Sign3(data[p], c); },
+                &keep);
+  } else if (col.rep() == TableColumn::Rep::kString &&
+             const_type == TypeId::kString &&
+             (op == CompareOp::kEq || op == CompareOp::kNe)) {
+    // Dictionary equality: one string lookup decides via codes. A constant
+    // absent from the dictionary matches no stored string.
+    const uint32_t* codes = col.codes();
+    const int64_t code = col.dict()->Find(constant.AsString());
+    const bool want_eq = op == CompareOp::kEq;
+    FilterTyped(*batch, col, [](int c) { return c != 0; },
+                [&](size_t p) {
+                  bool eq = code >= 0 && codes[p] == static_cast<uint32_t>(code);
+                  return (eq == want_eq) ? 1 : 0;
+                },
+                &keep);
+  } else if (col.rep() == TableColumn::Rep::kString &&
+             const_type == TypeId::kString) {
+    // Ordered string compare: the dictionary is tiny next to the row count,
+    // so compare each distinct string against the constant ONCE into a
+    // per-code sign table, then the per-row loop is a byte lookup instead of
+    // a string comparison.
+    const uint32_t* codes = col.codes();
+    const StringDict* dict = col.dict();
+    const std::string& c = constant.AsString();
+    std::vector<int8_t> sign(dict->size());
+    for (size_t code = 0; code < sign.size(); ++code) {
+      const int r = dict->At(static_cast<uint32_t>(code)).compare(c);
+      sign[code] = static_cast<int8_t>(r < 0 ? -1 : (r > 0 ? 1 : 0));
+    }
+    FilterTyped(*batch, col, decide,
+                [&](size_t p) { return static_cast<int>(sign[codes[p]]); }, &keep);
+  } else {
+    // Mixed incomparable types: Value::Compare orders by type id, which is
+    // constant across the column's non-null rows.
+    const int c = static_cast<int>(col_type) < static_cast<int>(const_type)
+                      ? -1
+                      : (static_cast<int>(col_type) > static_cast<int>(const_type)
+                             ? 1
+                             : 0);
+    FilterTyped(*batch, col, decide, [&](size_t) { return c; }, &keep);
   }
   if (keep.size() != n) batch->SetSelection(std::move(keep));
 }
 
 Status EvalExprBatch(const Expr& expr, EvalContext& ctx, const ColumnBatch& batch,
-                     std::vector<Value>* out) {
+                     TableColumn* out) {
   size_t n = batch.size();
   if (n == 0) return Status::OK();
+  out->Reserve(out->size() + n);
   if (ExprIsRowInvariant(expr)) {
     ctx.BindRow(nullptr);
     SELTRIG_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, ctx));
-    out->reserve(out->size() + n);
-    for (size_t i = 0; i < n; ++i) out->push_back(v);
+    for (size_t i = 0; i < n; ++i) out->Append(v);
     return Status::OK();
   }
   // Bare column ref: a straight gather from the column, no tree walk.
   if (expr.kind == ExprKind::kColumnRef && expr.column_index >= 0 &&
       expr.column_index < static_cast<int>(batch.num_columns())) {
-    const ColumnVector& col = batch.column(static_cast<size_t>(expr.column_index));
-    out->reserve(out->size() + n);
-    for (size_t i = 0; i < n; ++i) {
-      col.AppendValueTo(batch.PhysicalIndex(i), out);
-    }
+    const TableColumn& col =
+        batch.column(static_cast<size_t>(expr.column_index)).data();
+    for (size_t i = 0; i < n; ++i) out->AppendFrom(col, batch.PhysicalIndex(i));
     return Status::OK();
   }
-  out->reserve(out->size() + n);
   for (size_t i = 0; i < n; ++i) {
     ctx.BindBatch(&batch, i);
     SELTRIG_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, ctx));
-    out->push_back(std::move(v));
+    out->Append(std::move(v));
   }
   return Status::OK();
 }

@@ -15,6 +15,7 @@
 namespace seltrig {
 
 class ColumnBatch;  // exec/column_batch.h
+class TableColumn;  // storage/column_store.h
 
 // Evaluation context: the current row binding, the stack of enclosing query
 // rows (for correlated subqueries; back() is the innermost enclosing query),
@@ -65,7 +66,7 @@ Status EvalPredicateBatch(const Expr& pred, EvalContext& ctx, ColumnBatch* batch
 
 // Appends one value per selected row of `batch` to `out`, in logical order.
 Status EvalExprBatch(const Expr& expr, EvalContext& ctx, const ColumnBatch& batch,
-                     std::vector<Value>* out);
+                     TableColumn* out);
 
 // A predicate of the shape `column <cmp> constant` (either operand order), or
 // an AND of such terms (a two-sided range, BETWEEN), pre-analyzed at operator
@@ -74,8 +75,9 @@ Status EvalExprBatch(const Expr& expr, EvalContext& ctx, const ColumnBatch& batc
 // original expression: a row passes iff every term passes, a NULL column
 // value rejects its term, and each comparison goes through the same
 // Value::Compare. FilterBatch narrows the selection term by term, each term
-// compiled to a tight per-type loop over contiguous table storage when its
-// batch column is a typed view — same decisions, no Value construction.
+// compiled to a tight per-type loop over its batch column's typed storage
+// (a table binding or an owned column alike) — same decisions, no Value
+// construction. Only a degraded (Rep::kValue) column decides per Value.
 class SimplePredicate {
  public:
   // Returns the compiled form when `pred` matches the shape (every literal

@@ -1,6 +1,7 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <unordered_set>
 
@@ -87,7 +88,14 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
         tok.float_value = std::strtod(text.c_str(), nullptr);
       } else {
         tok.type = TokenType::kInteger;
-        tok.int_value = std::strtoll(text.c_str(), nullptr, 10);
+        uint64_t magnitude = 0;
+        const std::from_chars_result parsed =
+            std::from_chars(text.data(), text.data() + text.size(), magnitude);
+        if (parsed.ec != std::errc() || magnitude > uint64_t{1} << 63) {
+          return error_at(tok.position, "integer literal out of range: " + text);
+        }
+        // 2^63 wraps to INT64_MIN, which the parser accepts only negated.
+        tok.int_value = static_cast<int64_t>(magnitude);
       }
       tok.text = std::move(text);
       tokens.push_back(std::move(tok));

@@ -30,6 +30,10 @@ enum class TokenType : uint8_t {
 struct Token {
   TokenType type = TokenType::kEof;
   std::string text;   // identifier/keyword (lower-case), operator, or string body
+  // kInteger: the literal's value. Literals are unsigned, and the lexer
+  // rejects one above 2^63; 2^63 itself (9223372036854775808) is stored as
+  // INT64_MIN and is in range only as the operand of a unary minus, which
+  // the parser checks.
   int64_t int_value = 0;
   double float_value = 0.0;
   int position = 0;  // byte offset, for error messages

@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <cstdint>
 #include <unordered_set>
 #include <utility>
 
@@ -120,6 +121,12 @@ class Parser {
                               std::to_string(Peek().position) + ", token '" +
                               Peek().text + "')");
   }
+  // Consumes an unsigned integer literal; 2^63 (INT64_MIN, see Token) is out
+  // of range here.
+  Result<int64_t> TakeInteger() {
+    if (Peek().int_value == INT64_MIN) return Error("integer literal out of range");
+    return Advance().int_value;
+  }
   Status ExpectKeyword(const std::string& kw) {
     if (!MatchKeyword(kw)) return Error("expected '" + kw + "'");
     return Status::OK();
@@ -194,7 +201,7 @@ class Parser {
     if (MatchKeyword("distinct")) select->distinct = true;
     if (MatchKeyword("top")) {
       if (!Check(TokenType::kInteger)) return Error("expected integer after TOP");
-      select->limit = Advance().int_value;
+      SELTRIG_ASSIGN_OR_RETURN(select->limit, TakeInteger());
     }
     // Select list.
     while (true) {
@@ -258,7 +265,7 @@ class Parser {
     if (MatchKeyword("limit")) {
       if (select->limit >= 0) return Error("both TOP and LIMIT specified");
       if (!Check(TokenType::kInteger)) return Error("expected integer after LIMIT");
-      select->limit = Advance().int_value;
+      SELTRIG_ASSIGN_OR_RETURN(select->limit, TakeInteger());
     }
     return select;
   }
@@ -706,6 +713,13 @@ class Parser {
 
   Result<ExprNode> ParseUnary() {
     if (MatchOperator("-")) {
+      if (Check(TokenType::kInteger) && Peek().int_value == INT64_MIN) {
+        // -9223372036854775808: the one literal whose magnitude fits int64
+        // only negated.
+        auto e = std::make_unique<Expression>(ExprType::kIntLiteral);
+        e->int_value = Advance().int_value;
+        return ExprNode(std::move(e));
+      }
       SELTRIG_ASSIGN_OR_RETURN(ExprNode operand, ParseUnary());
       auto e = std::make_unique<Expression>(ExprType::kUnaryOp);
       e->op = "-";
@@ -720,7 +734,7 @@ class Parser {
     // Literals.
     if (Check(TokenType::kInteger)) {
       auto e = std::make_unique<Expression>(ExprType::kIntLiteral);
-      e->int_value = Advance().int_value;
+      SELTRIG_ASSIGN_OR_RETURN(e->int_value, TakeInteger());
       return ExprNode(std::move(e));
     }
     if (Check(TokenType::kFloat)) {

@@ -1,6 +1,7 @@
 #include "storage/column_store.h"
 
 #include <cassert>
+#include <utility>
 
 namespace seltrig {
 
@@ -32,6 +33,8 @@ void NullBits::Append(bool is_null) {
   }
   ++size_;
 }
+
+void NullBits::Reserve(size_t n) { words_.reserve((n + 63) / 64); }
 
 void NullBits::Set(size_t i, bool is_null) {
   assert(i < size_);
@@ -134,6 +137,49 @@ void TableColumn::Append(const Value& v) {
   ++size_;
 }
 
+void TableColumn::Append(Value&& v) {
+  if (rep_ != Rep::kValue && !Matches(v)) Degrade();
+  if (rep_ != Rep::kValue) {
+    Append(std::as_const(v));
+    return;
+  }
+  values_.push_back(std::move(v));
+  ++size_;
+}
+
+void TableColumn::AppendFrom(const TableColumn& src, size_t slot) {
+  if (rep_ != src.rep_ || type_ != src.type_ ||
+      (rep_ != Rep::kInt64 && rep_ != Rep::kDouble)) {
+    Append(src.Get(slot));
+    return;
+  }
+  if (rep_ == Rep::kInt64) {
+    ints_.push_back(src.ints_[slot]);
+  } else {
+    doubles_.push_back(src.doubles_[slot]);
+  }
+  nulls_.Append(src.nulls_.Test(slot));
+  ++size_;
+}
+
+void TableColumn::Reserve(size_t n) {
+  switch (rep_) {
+    case Rep::kInt64:
+      ints_.reserve(n);
+      break;
+    case Rep::kDouble:
+      doubles_.reserve(n);
+      break;
+    case Rep::kString:
+      codes_.reserve(n);
+      break;
+    case Rep::kValue:
+      values_.reserve(n);
+      return;  // nulls are inline
+  }
+  nulls_.Reserve(n);
+}
+
 void TableColumn::Set(size_t slot, const Value& v) {
   assert(slot < size_);
   if (rep_ != Rep::kValue && !Matches(v)) Degrade();
@@ -205,6 +251,12 @@ void TableColumn::PopBack() {
       break;
   }
   --size_;
+}
+
+void TableColumn::Reset(TypeId declared_type) {
+  Clear();
+  rep_ = RepForType(declared_type);
+  type_ = declared_type;
 }
 
 void TableColumn::Clear() {

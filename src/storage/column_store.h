@@ -54,6 +54,7 @@ class StringDict {
 class NullBits {
  public:
   void Append(bool is_null);
+  void Reserve(size_t n);
   void Set(size_t i, bool is_null);
   bool Test(size_t i) const {
     return (words_[i >> 6] >> (i & 63)) & 1;
@@ -91,12 +92,22 @@ class TableColumn {
   TypeId type() const { return type_; }
 
   void Append(const Value& v);
+  // Like Append(const Value&), but a generic (Rep::kValue) cell is moved in.
+  void Append(Value&& v);
+  // Appends `src`'s cell `slot`: copied raw when both columns hold the same
+  // int64 or double type, through Get() otherwise.
+  void AppendFrom(const TableColumn& src, size_t slot);
+  // Reserves room for `n` cells in the current representation.
+  void Reserve(size_t n);
   void Set(size_t slot, const Value& v);
   Value Get(size_t slot) const;
   // Appends the exact stored Value to *out (avoids a temporary move chain).
   void AppendTo(size_t slot, Row* out) const;
   void PopBack();
   void Clear();
+  // Clears the column and re-types it as `declared_type`, undoing an earlier
+  // Degrade (a reused batch column starts each fill at its declared rep).
+  void Reset(TypeId declared_type);
 
   // Raw storage accessors for the columnar executor's view binding. Only the
   // family matching rep() is valid.

@@ -1,17 +1,30 @@
-// Unit tests for ColumnBatch / ColumnVector: owned and view modes, the
-// selection-vector contract, the row-materialization shim, join emits, and
-// storage reuse across Clear()/ResetOwned().
+// Unit tests for ColumnBatch / ColumnVector: table bindings and owned typed
+// columns, the selection-vector contract, the row-materialization shim, join
+// emits, and storage reuse across Clear()/ResetOwned().
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "exec/column_batch.h"
 #include "storage/column_store.h"
+#include "types/schema.h"
 #include "types/value.h"
 
 namespace seltrig {
 namespace {
+
+// A schema of unnamed columns of the given declared types.
+Schema Types(std::initializer_list<TypeId> types) {
+  Schema schema;
+  for (TypeId t : types) schema.AddColumn(Column{"", "", t, false});
+  return schema;
+}
+
+const Schema kIntString = Types({TypeId::kInt, TypeId::kString});
+const Schema kInt = Types({TypeId::kInt});
 
 Row MakeRow(int64_t id, const char* name) {
   Row r;
@@ -22,7 +35,7 @@ Row MakeRow(int64_t id, const char* name) {
 
 TEST(ColumnBatchTest, OwnedAppendAndMaterialize) {
   ColumnBatch batch;
-  batch.ResetOwned(2);
+  batch.ResetOwned(kIntString);
   batch.AppendRow(MakeRow(1, "a"));
   batch.AppendRow(MakeRow(2, "b"));
   ASSERT_EQ(batch.size(), 2u);
@@ -34,7 +47,7 @@ TEST(ColumnBatchTest, OwnedAppendAndMaterialize) {
 
 TEST(ColumnBatchTest, SelectionNarrowsLogicalView) {
   ColumnBatch batch;
-  batch.ResetOwned(1);
+  batch.ResetOwned(kInt);
   for (int64_t i = 0; i < 5; ++i) {
     Row r;
     r.push_back(Value::Int(i));
@@ -53,7 +66,7 @@ TEST(ColumnBatchTest, SelectionNarrowsLogicalView) {
 
 TEST(ColumnBatchTest, DropFrontLogicalWithoutSelection) {
   ColumnBatch batch;
-  batch.ResetOwned(1);
+  batch.ResetOwned(kInt);
   for (int64_t i = 0; i < 4; ++i) {
     Row r;
     r.push_back(Value::Int(i));
@@ -106,11 +119,11 @@ TEST(ColumnBatchTest, ApplyProjectionReordersViewColumns) {
 
 TEST(ColumnBatchTest, AppendConcatAndPad) {
   ColumnBatch left;
-  left.ResetOwned(2);
+  left.ResetOwned(kIntString);
   left.AppendRow(MakeRow(7, "x"));
 
   ColumnBatch out;
-  out.ResetOwned(3);
+  out.ResetOwned(Types({TypeId::kInt, TypeId::kString, TypeId::kInt}));
   Row right;
   right.push_back(Value::Int(99));
   out.AppendConcat(left, 0, right);
@@ -128,34 +141,94 @@ TEST(ColumnBatchTest, AppendConcatAndPad) {
   EXPECT_EQ(out.GetValue(2, 0), Value::Int(99));
 }
 
-TEST(ColumnBatchTest, MoveRowToDrainsOwnedCells) {
+TEST(ColumnBatchTest, OwnedColumnsAreTypedBySchema) {
   ColumnBatch batch;
-  batch.ResetOwned(2);
-  batch.AppendRow(MakeRow(5, "s"));
-  Row out;
-  batch.MoveRowTo(0, &out);
-  EXPECT_EQ(out, MakeRow(5, "s"));
+  batch.ResetOwned(Types({TypeId::kInt, TypeId::kString, TypeId::kDouble, TypeId::kDate}));
+  Row row = MakeRow(5, "s");
+  row.push_back(Value::Double(2.5));
+  row.push_back(Value::Null());
+  batch.AppendRow(row);
+  EXPECT_FALSE(batch.column(0).is_view());
+  EXPECT_EQ(batch.column(0).data().rep(), TableColumn::Rep::kInt64);
+  // Strings stay generic Values in a batch (no per-batch dictionary).
+  EXPECT_EQ(batch.column(1).data().rep(), TableColumn::Rep::kValue);
+  EXPECT_EQ(batch.column(2).data().rep(), TableColumn::Rep::kDouble);
+  EXPECT_EQ(batch.column(3).data().rep(), TableColumn::Rep::kInt64);
+  EXPECT_EQ(batch.column(3).data().type(), TypeId::kDate);
+  EXPECT_EQ(batch.GetRow(0), row);
+
+  // A column-at-a-time fill declares its row count, even at zero width
+  // (COUNT(*) pipelines).
+  ColumnBatch zero;
+  zero.ResetOwned(Schema());
+  zero.SetOwnedRowCount(3);
+  EXPECT_EQ(zero.size(), 3u);
+  EXPECT_EQ(zero.num_columns(), 0u);
 }
 
-TEST(ColumnBatchTest, AdoptOwnedColumnsSwapsStorage) {
-  std::vector<std::vector<Value>> cols(2);
-  cols[0] = {Value::Int(1), Value::Int(2)};
-  cols[1] = {Value::String("a"), Value::String("b")};
+TEST(ColumnBatchTest, MismatchedCellDegradesAndReadsBackExactly) {
   ColumnBatch batch;
-  batch.AdoptOwnedColumns(&cols, 2);
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch.GetValue(1, 1), Value::String("b"));
-  // Zero-width adoption still carries the row count (COUNT(*) pipelines).
-  std::vector<std::vector<Value>> empty;
-  ColumnBatch zero;
-  zero.AdoptOwnedColumns(&empty, 0);
-  EXPECT_EQ(zero.size(), 0u);
-  EXPECT_EQ(zero.num_columns(), 0u);
+  batch.ResetOwned(kInt);
+  Row a = {Value::Int(7)};
+  Row b = {Value::Double(7.0)};  // equal under Compare, but another type
+  Row c = {Value::String("x")};
+  batch.AppendRow(a);
+  batch.AppendRow(b);
+  batch.AppendRow(c);
+  EXPECT_EQ(batch.column(0).data().rep(), TableColumn::Rep::kValue);
+  // Each cell keeps its own type tag, not just its Compare-equal value.
+  EXPECT_EQ(batch.GetValue(0, 0).type(), TypeId::kInt);
+  EXPECT_EQ(batch.GetValue(0, 1).type(), TypeId::kDouble);
+  EXPECT_EQ(batch.GetValue(0, 1).AsDouble(), 7.0);
+  EXPECT_EQ(batch.GetValue(0, 2), Value::String("x"));
+}
+
+TEST(ColumnBatchTest, ResetOwnedRetypesADegradedColumn) {
+  ColumnBatch batch;
+  batch.ResetOwned(kInt);
+  batch.AppendRow(Row{Value::String("degrades")});
+  ASSERT_EQ(batch.column(0).data().rep(), TableColumn::Rep::kValue);
+  batch.ResetOwned(kInt);
+  EXPECT_EQ(batch.column(0).data().rep(), TableColumn::Rep::kInt64);
+  EXPECT_EQ(batch.column(0).data().size(), 0u);
+  batch.AppendRow(Row{Value::Int(3)});
+  EXPECT_EQ(batch.column(0).data().rep(), TableColumn::Rep::kInt64);
+  EXPECT_EQ(batch.GetValue(0, 0), Value::Int(3));
+  // A schema of another type retypes the same storage.
+  batch.ResetOwned(Types({TypeId::kDouble}));
+  EXPECT_EQ(batch.column(0).data().rep(), TableColumn::Rep::kDouble);
+}
+
+TEST(ColumnBatchTest, MovedBatchKeepsOwnedCells) {
+  TableColumn ids(TypeId::kInt);
+  ids.Append(Value::Int(40));
+  std::vector<ColumnBatch> batches;
+  for (int64_t b = 0; b < 4; ++b) {
+    ColumnBatch batch;
+    batch.ResetOwned(kIntString);
+    batch.AppendRow(MakeRow(b, "moved"));
+    batch.AppendRow(MakeRow(b + 10, "twice"));
+    batch.SetSelection({1});
+    batches.push_back(std::move(batch));  // reallocation moves earlier batches
+  }
+  ColumnBatch view;
+  view.BeginViews(1);
+  view.BindViewColumn(0, &ids);
+  std::vector<uint32_t> slots = {0};
+  view.AdoptSelection(&slots);
+  batches.push_back(std::move(view));
+  ColumnBatch last = std::move(batches[3]);
+  EXPECT_EQ(last.GetRow(0), MakeRow(13, "twice"));
+  for (int64_t b = 0; b < 3; ++b) {
+    ASSERT_EQ(batches[b].size(), 1u);
+    EXPECT_EQ(batches[b].GetRow(0), MakeRow(b + 10, "twice"));
+  }
+  EXPECT_EQ(batches[4].GetValue(0, 0), Value::Int(40));
 }
 
 TEST(ColumnBatchTest, ClearRetainsStorageAndResetsSelection) {
   ColumnBatch batch;
-  batch.ResetOwned(1);
+  batch.ResetOwned(kInt);
   Row r;
   r.push_back(Value::Int(1));
   batch.AppendRow(std::move(r));
@@ -164,7 +237,7 @@ TEST(ColumnBatchTest, ClearRetainsStorageAndResetsSelection) {
   EXPECT_EQ(batch.size(), 0u);
   EXPECT_FALSE(batch.has_selection());
   // Refill after Clear: appends are legal again (no stale selection).
-  batch.ResetOwned(1);
+  batch.ResetOwned(kInt);
   Row r2;
   r2.push_back(Value::Int(2));
   batch.AppendRow(std::move(r2));

@@ -63,6 +63,54 @@ TEST_F(ExecutorTest, MaxRowsStopsPulling) {
   EXPECT_LT(r->stats.rows_scanned, 4u);
 }
 
+// Integer arithmetic and SUM fail instead of wrapping; results that land
+// exactly on an int64 bound are exact.
+class IntegerRangeTest : public ExecutorTest {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.ExecuteScript(R"sql(
+      CREATE TABLE big (id INT PRIMARY KEY, g INT, x INT);
+      INSERT INTO big VALUES (1, 1, 9223372036854775806), (2, 1, 1),
+                             (3, 2, 9223372036854775807), (4, 2, 1);
+    )sql").ok());
+  }
+
+  void ExpectOutOfRange(const std::string& sql) {
+    auto r = db_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), ErrorCode::kExecutionError) << sql;
+    EXPECT_NE(r.status().message().find("integer out of range"), std::string::npos)
+        << r.status().ToString();
+  }
+
+  int64_t Scalar(const std::string& sql) {
+    auto r = db_.Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+    return r.ok() && r->rows.size() == 1 ? r->rows[0][0].AsInt() : 0;
+  }
+};
+
+TEST_F(IntegerRangeTest, BoundsReadExactlyAndOverflowErrors) {
+  EXPECT_EQ(Scalar("SELECT -9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(Scalar("SELECT x FROM big WHERE id = 3"), INT64_MAX);
+  ExpectOutOfRange("SELECT x + 1 FROM big WHERE id = 3");
+  ExpectOutOfRange("SELECT -9223372036854775808 - id FROM big WHERE id = 1");
+}
+
+// SUM in both aggregate forms; AVG of the same column widens to double and
+// does not fail.
+TEST_F(IntegerRangeTest, SumOverflowErrors) {
+  EXPECT_EQ(Scalar("SELECT SUM(x) FROM big WHERE g = 1"), INT64_MAX);
+  ExpectOutOfRange("SELECT SUM(x) FROM big");
+  ExpectOutOfRange("SELECT g, SUM(x) FROM big GROUP BY g");
+  EXPECT_TRUE(db_.Execute("SELECT AVG(x) FROM big").ok());
+}
+
+TEST_F(IntegerRangeTest, DistinctSumOverflowErrors) {
+  EXPECT_EQ(Scalar("SELECT SUM(DISTINCT x) FROM big WHERE g = 1"), INT64_MAX);
+  ExpectOutOfRange("SELECT SUM(DISTINCT x) FROM big");
+}
+
 TEST_F(ExecutorTest, QueryResultToStringTruncates) {
   auto r = db_.Execute("SELECT id FROM t ORDER BY id");
   ASSERT_TRUE(r.ok());

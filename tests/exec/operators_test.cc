@@ -14,6 +14,7 @@
 
 #include "audit/accessed_state.h"
 #include "catalog/catalog.h"
+#include "common/bloom_filter.h"
 #include "exec/executor.h"
 #include "expr/analysis.h"
 #include "storage/sensitive_id_view.h"
@@ -676,6 +677,63 @@ TEST_F(OperatorsTest, AuditOpIgnoresNullKeys) {
   ctx.set_accessed(&registry);
   Run(*audit, &ctx);
   EXPECT_EQ(registry.Find("e")->size(), 1u);
+}
+
+TEST_F(OperatorsTest, AuditAboveHashJoinScreensTypedJoinOutput) {
+  // hcn placement: the audit operator reads the join's output, whose owned
+  // columns are typed by the join's schema. The Bloom screen over them must
+  // skip exactly the batches a per-Value screen (Value::Hash) would, and
+  // ACCESSED must hold exactly the sensitive keys that flowed.
+  Schema rschema;
+  rschema.AddColumn({"rid", "r", TypeId::kInt, false});
+  auto rtable = catalog_.CreateTable("r", rschema, -1);
+  ASSERT_TRUE(rtable.ok());
+  for (int64_t i = 1; i <= 6; ++i) ASSERT_TRUE((*rtable)->Insert({Value::Int(i)}).ok());
+
+  SensitiveIdView view;
+  view.Add(Value::Int(5));
+  for (int64_t id = 1000; id < 1020; ++id) view.Add(Value::Int(id));
+  const BloomFilter* screen = view.Screen();
+  ASSERT_NE(screen, nullptr);
+
+  auto right = std::make_shared<LogicalScan>();
+  right->table_name = "r";
+  right->alias = "r";
+  right->schema = rschema;
+  auto join = std::make_shared<LogicalJoin>();
+  join->join_type = JoinType::kInner;
+  join->schema = Schema::Concat(table_->schema(), rschema);
+  join->children = {MakeScan(), right};
+  join->condition = MakeComparison(CompareOp::kEq, MakeColumnRef(0, TypeId::kInt),
+                                   MakeColumnRef(2, TypeId::kInt));
+  auto audit = std::make_shared<LogicalAudit>();
+  audit->audit_name = "e";
+  audit->key_column = 0;
+  audit->id_view = &view;
+  audit->schema = join->schema;
+  audit->children = {join};
+
+  ExecContext ctx(&catalog_, &session_);
+  ctx.set_batch_size(2);
+  AccessedStateRegistry registry;
+  ctx.set_accessed(&registry);
+  const std::vector<Row> rows = Run(*audit, &ctx);
+  ASSERT_EQ(rows.size(), 6u);
+  // The join emits t's rows in scan order, two per batch.
+  uint64_t expected_prescreened = 0;
+  for (size_t b = 0; b < rows.size(); b += 2) {
+    if (!screen->MayContain(static_cast<uint64_t>(rows[b][0].Hash())) &&
+        !screen->MayContain(static_cast<uint64_t>(rows[b + 1][0].Hash()))) {
+      ++expected_prescreened;
+    }
+  }
+  EXPECT_GT(expected_prescreened, 0u);
+  EXPECT_EQ(ctx.stats().audit_batches_prescreened, expected_prescreened);
+  EXPECT_EQ(ctx.stats().rows_through_audit_ops, 6u);
+  const AccessedState* state = registry.Find("e");
+  ASSERT_NE(state, nullptr);
+  EXPECT_EQ(state->size(), 1u);
+  EXPECT_TRUE(state->Contains(Value::Int(5)));
 }
 
 TEST_F(OperatorsTest, DistinctDeduplicatesNulls) {

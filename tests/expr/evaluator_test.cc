@@ -55,6 +55,49 @@ TEST(EvaluatorTest, IntegerArithmetic) {
   EXPECT_EQ(Eval(std::move(mul)).AsInt(), 20);
 }
 
+// Integer +, -, * and unary minus fail instead of wrapping: the boundary
+// result is exact, one step past it is an "integer out of range" error.
+void ExpectOutOfRange(ExprPtr e) {
+  EvalContext ctx;
+  auto r = EvalExpr(*e, ctx);
+  ASSERT_FALSE(r.ok()) << e->ToString();
+  EXPECT_EQ(r.status().code(), ErrorCode::kExecutionError);
+  EXPECT_NE(r.status().message().find("integer out of range"), std::string::npos);
+}
+
+ExprPtr IntArith(ArithOp op, int64_t a, int64_t b) {
+  return MakeArith(op, MakeLiteral(Value::Int(a)), MakeLiteral(Value::Int(b)));
+}
+
+TEST(EvaluatorTest, IntegerAddOverflowErrors) {
+  EXPECT_EQ(Eval(IntArith(ArithOp::kAdd, INT64_MAX - 1, 1)).AsInt(), INT64_MAX);
+  ExpectOutOfRange(IntArith(ArithOp::kAdd, INT64_MAX, 1));
+  ExpectOutOfRange(IntArith(ArithOp::kAdd, INT64_MIN, -1));
+}
+
+TEST(EvaluatorTest, IntegerSubtractOverflowErrors) {
+  EXPECT_EQ(Eval(IntArith(ArithOp::kSub, INT64_MIN + 1, 1)).AsInt(), INT64_MIN);
+  ExpectOutOfRange(IntArith(ArithOp::kSub, INT64_MIN, 1));
+  ExpectOutOfRange(IntArith(ArithOp::kSub, 0, INT64_MIN));
+}
+
+TEST(EvaluatorTest, IntegerMultiplyOverflowErrors) {
+  EXPECT_EQ(Eval(IntArith(ArithOp::kMul, INT64_MIN / 2, 2)).AsInt(), INT64_MIN);
+  ExpectOutOfRange(IntArith(ArithOp::kMul, INT64_MAX / 2 + 1, 2));
+  ExpectOutOfRange(IntArith(ArithOp::kMul, INT64_MIN, -1));
+}
+
+TEST(EvaluatorTest, IntegerNegateOverflowErrors) {
+  EXPECT_EQ(Eval(MakeArith(ArithOp::kNeg, MakeLiteral(Value::Int(INT64_MAX)), nullptr))
+                .AsInt(),
+            -INT64_MAX);
+  ExpectOutOfRange(MakeArith(ArithOp::kNeg, MakeLiteral(Value::Int(INT64_MIN)), nullptr));
+  // ABS negates too.
+  std::vector<ExprPtr> args;
+  args.push_back(MakeLiteral(Value::Int(INT64_MIN)));
+  ExpectOutOfRange(MakeFunction(FunctionId::kAbs, std::move(args), TypeId::kInt));
+}
+
 TEST(EvaluatorTest, DivisionAlwaysDouble) {
   auto div = MakeArith(ArithOp::kDiv, MakeLiteral(Value::Int(7)), MakeLiteral(Value::Int(2)));
   Value v = Eval(std::move(div));
@@ -258,8 +301,10 @@ TEST(EvaluatorTest, CloneProducesIndependentEqualTree) {
 //
 // A compiled AND of `column <cmp> constant` terms must keep exactly the rows
 // EvalPredicateBatch keeps, over typed table views (int, double, date and
-// dictionary-string kernels) and over owned columns (the generic path), with
-// NULLs in every column and constants of other types than their column.
+// dictionary-string kernels), over owned columns typed by a schema (the same
+// kernels), and over owned columns that a last cell of another type degraded
+// (the generic path), with NULLs in every column and constants of other
+// types than their column.
 
 class ConjunctionTest : public ::testing::Test {
  protected:
@@ -294,12 +339,25 @@ class ConjunctionTest : public ::testing::Test {
     batch->AdoptSelection(&slots);
   }
 
-  void FillOwned(ColumnBatch* batch) const {
-    batch->ResetOwned(4);
+  // Owned copies of the live rows; `degraded` appends one more row whose
+  // every cell has another type than its column (an int-valued double in
+  // the int column), so every typed column degrades to Rep::kValue (the
+  // string column is generic in a batch from the start).
+  void FillOwned(ColumnBatch* batch, bool degraded) const {
+    Schema schema;
+    for (size_t c = 0; c < 4; ++c) schema.AddColumn(Column{"", "", column(c)->type(), false});
+    batch->ResetOwned(schema);
     for (uint32_t slot : live_) {
       Row row;
       for (size_t c = 0; c < 4; ++c) row.push_back(column(c)->Get(slot));
-      batch->AppendRow(std::move(row));
+      batch->AppendRow(row);
+    }
+    if (degraded) {
+      batch->AppendRow(
+          Row{Value::Double(12.0), Value::Int(9), Value::Int(30), Value::Int(4)});
+    }
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(batch->column(c).data().rep() == TableColumn::Rep::kValue, degraded);
     }
   }
 
@@ -313,21 +371,23 @@ class ConjunctionTest : public ::testing::Test {
   void ExpectSameAsEvaluator(const Expr& pred) const {
     std::optional<SimplePredicate> simple = SimplePredicate::Compile(pred);
     ASSERT_TRUE(simple.has_value()) << pred.ToString();
-    for (bool views : {true, false}) {
+    enum class Layout { kViews, kOwned, kDegraded };
+    for (Layout layout : {Layout::kViews, Layout::kOwned, Layout::kDegraded}) {
+      const bool views = layout == Layout::kViews;
       ColumnBatch expected;
       ColumnBatch actual;
       if (views) {
         BindViews(&expected);
         BindViews(&actual);
       } else {
-        FillOwned(&expected);
-        FillOwned(&actual);
+        FillOwned(&expected, layout == Layout::kDegraded);
+        FillOwned(&actual, layout == Layout::kDegraded);
       }
       EvalContext ctx;
       ASSERT_TRUE(EvalPredicateBatch(pred, ctx, &expected).ok());
       simple->FilterBatch(&actual);
       EXPECT_EQ(Rows(actual), Rows(expected))
-          << pred.ToString() << (views ? " (views)" : " (owned)");
+          << pred.ToString() << " (layout " << static_cast<int>(layout) << ")";
       if (views) {
         // The batch is narrowed; the row test must agree on every live row.
         ColumnBatch all;

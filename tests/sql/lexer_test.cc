@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace seltrig {
 namespace {
 
@@ -31,6 +33,21 @@ TEST(LexerTest, Numbers) {
   EXPECT_DOUBLE_EQ(toks[2].float_value, 3.14);
   EXPECT_DOUBLE_EQ(toks[3].float_value, 1000.0);
   EXPECT_DOUBLE_EQ(toks[4].float_value, 0.025);
+}
+
+TEST(LexerTest, IntegerLiteralRange) {
+  auto toks = MustTokenize("9223372036854775807 9223372036854775808");
+  EXPECT_EQ(toks[0].int_value, INT64_MAX);
+  // 2^63 fits only negated; the token carries it as INT64_MIN for the parser.
+  EXPECT_EQ(toks[1].type, TokenType::kInteger);
+  EXPECT_EQ(toks[1].int_value, INT64_MIN);
+  // Beyond 2^63 is a parse error, not a saturated INT64_MAX.
+  for (const char* sql : {"SELECT 9223372036854775809", "SELECT 99999999999999999999"}) {
+    auto r = Tokenize(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), ErrorCode::kParseError);
+    EXPECT_NE(r.status().message().find("integer literal out of range"), std::string::npos);
+  }
 }
 
 TEST(LexerTest, Strings) {

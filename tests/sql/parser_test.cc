@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace seltrig {
 namespace {
 
@@ -98,6 +100,29 @@ TEST(ParserTest, ExpressionPrecedence) {
   EXPECT_EQ(eq.op, "=");
   EXPECT_EQ(eq.children[0]->op, "+");
   EXPECT_EQ(eq.children[0]->children[1]->op, "*");
+}
+
+TEST(ParserTest, IntegerLiteralRange) {
+  // -9223372036854775808 parses as one literal, INT64_MIN exactly.
+  auto min_stmt = MustParse("SELECT -9223372036854775808");
+  const ast::Expression& min_lit = *AsSelect(min_stmt).items[0].expr;
+  EXPECT_EQ(min_lit.type, ExprType::kIntLiteral);
+  EXPECT_EQ(min_lit.int_value, INT64_MIN);
+  // Any other negation stays a unary minus over its operand.
+  auto max_stmt = MustParse("SELECT -9223372036854775807");
+  const ast::Expression& neg = *AsSelect(max_stmt).items[0].expr;
+  EXPECT_EQ(neg.type, ExprType::kUnaryOp);
+  EXPECT_EQ(neg.children[0]->int_value, INT64_MAX);
+  // 2^63 is out of range anywhere but directly under a unary minus.
+  for (const char* sql :
+       {"SELECT 9223372036854775808", "SELECT 1 - 9223372036854775808",
+        "SELECT -(9223372036854775808)", "SELECT * FROM t LIMIT 9223372036854775808",
+        "SELECT TOP 9223372036854775808 * FROM t", "SELECT -99999999999999999999"}) {
+    auto r = ParseSql(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), ErrorCode::kParseError) << sql;
+    EXPECT_NE(r.status().message().find("out of range"), std::string::npos) << sql;
+  }
 }
 
 TEST(ParserTest, BetweenInLike) {

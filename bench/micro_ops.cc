@@ -1,5 +1,6 @@
 // Micro-operation benchmarks (google-benchmark): the audit operator's
-// per-row probe, placement algorithm latency, end-to-end query paths.
+// per-row probe, placement algorithm latency, end-to-end query paths, the
+// journal record codec.
 //
 // Every run appends one line to BENCH_micro_ops.json at the repository root,
 // stamped with the git sha, build type and core count, holding each
@@ -17,6 +18,7 @@
 #include "audit/placement.h"
 #include "bench_util.h"
 #include "engine/database.h"
+#include "storage/wal.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 
@@ -470,6 +472,34 @@ void BM_SecondaryLookupAfterWrite(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SecondaryLookupAfterWrite);
+
+// One journal record shaped like the one an audited TPC-H Q3 commits through
+// the benchmark's logging trigger: 93 audit-log rows, each repeating the
+// timestamp, the user and the Q3 statement text. Encodes it (payload and
+// CRC32C) and decodes it back, as a commit and then a replica apply or a
+// recovery replay do. The record_bytes counter is the record's size.
+void BM_WalRecordRoundTrip(benchmark::State& state) {
+  const std::string sql = tpch::WorkloadQueries()[0].sql;
+  std::vector<WalOp> ops;
+  for (int64_t i = 0; i < 93; ++i) {
+    ops.push_back(WalOp::Insert(
+        "audit_log", {Value::String("2026-10-21 12:00:00"), Value::String("bench_user"),
+                      Value::String(sql), Value::Int(1000 + 13 * i)}));
+  }
+  size_t record_bytes = 0;
+  for (auto _ : state) {
+    std::string record = EncodeWalRecord(ops);
+    Result<std::vector<WalOp>> decoded = DecodeWalRecord(record);
+    if (!decoded.ok() || decoded->size() != ops.size()) {
+      state.SkipWithError("record did not round-trip");
+      return;
+    }
+    record_bytes = record.size();
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.counters["record_bytes"] = static_cast<double>(record_bytes);
+}
+BENCHMARK(BM_WalRecordRoundTrip);
 
 // Console output as usual, plus one summary entry per run for the trajectory
 // line main() appends.

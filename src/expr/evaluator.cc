@@ -55,25 +55,35 @@ Result<Value> EvalArith(const Expr& e, EvalContext& ctx) {
   SELTRIG_ASSIGN_OR_RETURN(Value rhs, EvalExpr(*e.children[1], ctx));
   if (lhs.is_null() || rhs.is_null()) return Value::Null();
 
-  // Date arithmetic: date +/- int days, date - date.
+  // Date arithmetic: date +/- int days, date - date. All of it runs in int64;
+  // a resulting date outside Value::Date's int32 day range is an error, as
+  // integer overflow is.
   if (lhs.type() == TypeId::kDate || rhs.type() == TypeId::kDate) {
-    if (e.arith_op == ArithOp::kAdd && lhs.type() == TypeId::kDate &&
-        rhs.type() == TypeId::kInt) {
-      return Value::Date(lhs.AsDate() + static_cast<int32_t>(rhs.AsInt()));
+    const bool lhs_date = lhs.type() == TypeId::kDate;
+    const bool rhs_date = rhs.type() == TypeId::kDate;
+    if (e.arith_op == ArithOp::kSub && lhs_date && rhs_date) {
+      return Value::Int(int64_t{lhs.AsDate()} - int64_t{rhs.AsDate()});
     }
-    if (e.arith_op == ArithOp::kAdd && lhs.type() == TypeId::kInt &&
-        rhs.type() == TypeId::kDate) {
-      return Value::Date(rhs.AsDate() + static_cast<int32_t>(lhs.AsInt()));
+    int64_t days = 0;
+    int64_t delta = 0;
+    if (lhs_date && rhs.type() == TypeId::kInt &&
+        (e.arith_op == ArithOp::kAdd || e.arith_op == ArithOp::kSub)) {
+      days = lhs.AsDate();
+      delta = rhs.AsInt();
+    } else if (e.arith_op == ArithOp::kAdd && lhs.type() == TypeId::kInt && rhs_date) {
+      days = rhs.AsDate();
+      delta = lhs.AsInt();
+    } else {
+      return Status::ExecutionError("unsupported date arithmetic");
     }
-    if (e.arith_op == ArithOp::kSub && lhs.type() == TypeId::kDate &&
-        rhs.type() == TypeId::kInt) {
-      return Value::Date(lhs.AsDate() - static_cast<int32_t>(rhs.AsInt()));
+    int64_t r = 0;
+    const bool overflow = e.arith_op == ArithOp::kAdd
+                              ? __builtin_add_overflow(days, delta, &r)
+                              : __builtin_sub_overflow(days, delta, &r);
+    if (overflow || r < INT32_MIN || r > INT32_MAX) {
+      return Status::ExecutionError("date out of range");
     }
-    if (e.arith_op == ArithOp::kSub && lhs.type() == TypeId::kDate &&
-        rhs.type() == TypeId::kDate) {
-      return Value::Int(lhs.AsDate() - rhs.AsDate());
-    }
-    return Status::ExecutionError("unsupported date arithmetic");
+    return Value::Date(static_cast<int32_t>(r));
   }
 
   if (!IsNumeric(lhs.type()) || !IsNumeric(rhs.type())) {

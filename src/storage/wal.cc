@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "common/checksum.h"
@@ -57,8 +59,62 @@ bool ParseRecordLength(uint32_t field, uint32_t* length, bool* compact) {
 // (zig-zag for signed values). Legacy records, written before the compact
 // format, hold counts and string lengths as u32 and those integers as u64;
 // PayloadReader decodes both.
+//
+// Within one compact record, every string spelled out is numbered in payload
+// order (0, 1, ...), and a later occurrence of the same bytes may be written
+// as a varint reference to the first one's number instead: a cell as
+// kStringRefTag + index, an op's table name (or a STMT's SQL, or a TRIG's
+// trigger name) with kFirstStringRef on its kind byte, a DDL's SQL with
+// kSecondStringRef. A record whose strings are all distinct is byte for byte
+// what the compact encoder wrote before references existed.
 
-void PutValue(std::string* out, const Value& v) {
+// A cell tag outside TypeId's range (0-5): a string cell given by reference.
+constexpr uint8_t kStringRefTag = 0x10;
+// Kind-byte flags (kinds are 1-6): the op's first / second string field is a
+// reference.
+constexpr uint8_t kFirstStringRef = 0x80;
+constexpr uint8_t kSecondStringRef = 0x40;
+constexpr uint8_t kOpKindMask = 0x3F;
+
+size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+// The encoder's side of a record's string numbering. Keys are views into the
+// ops being encoded, so nothing is copied.
+class StringTable {
+ public:
+  // True, with *index set, when `s` was already spelled out in this record
+  // and a reference to it is shorter than spelling it out again. Otherwise
+  // `s` is about to be spelled out and takes the next number.
+  bool Find(std::string_view s, uint64_t* index) {
+    if (!s.empty()) {  // a reference to "" is never shorter
+      auto [it, inserted] = first_.try_emplace(s, literals_);
+      if (!inserted && VarintSize(it->second) < VarintSize(s.size()) + s.size()) {
+        *index = it->second;
+        return true;
+      }
+    }
+    ++literals_;
+    return false;
+  }
+
+ private:
+  std::unordered_map<std::string_view, uint64_t> first_;
+  uint64_t literals_ = 0;
+};
+
+void PutValue(std::string* out, const Value& v, StringTable* strings) {
+  if (v.type() == TypeId::kString) {
+    uint64_t index = 0;
+    if (strings->Find(v.AsString(), &index)) {
+      out->push_back(static_cast<char>(kStringRefTag));
+      PutVarint(out, index);
+      return;
+    }
+  }
   out->push_back(static_cast<char>(v.type()));
   switch (v.type()) {
     case TypeId::kNull:
@@ -85,52 +141,52 @@ void PutValue(std::string* out, const Value& v) {
   }
 }
 
-void PutRow(std::string* out, const Row& row) {
+void PutRow(std::string* out, const Row& row, StringTable* strings) {
   PutVarint(out, row.size());
-  for (const Value& v : row) PutValue(out, v);
+  for (const Value& v : row) PutValue(out, v, strings);
 }
 
-void PutOp(std::string* out, const WalOp& op) {
-  out->push_back(static_cast<char>(op.kind));
+void PutOp(std::string* out, const WalOp& op, StringTable* strings) {
+  // Numbers are taken in payload order: the string fields come right after
+  // the kind byte, before any row.
+  const std::string& first = op.kind == WalOp::Kind::kStatement ? op.sql : op.table;
+  uint64_t first_ref = 0;
+  uint64_t second_ref = 0;
+  uint8_t kind = static_cast<uint8_t>(op.kind);
+  if (strings->Find(first, &first_ref)) kind |= kFirstStringRef;
+  if (op.kind == WalOp::Kind::kDdl && strings->Find(op.sql, &second_ref)) {
+    kind |= kSecondStringRef;
+  }
+  out->push_back(static_cast<char>(kind));
+  auto put_field = [&](const std::string& s, uint8_t flag, uint64_t ref) {
+    if ((kind & flag) != 0) {
+      PutVarint(out, ref);
+    } else {
+      PutVarString(out, s);
+    }
+  };
+  put_field(first, kFirstStringRef, first_ref);
   // seltrig-lint: dispatch(WalOp::Kind)
   switch (op.kind) {
     case WalOp::Kind::kInsert:
     case WalOp::Kind::kDelete:
-      PutVarString(out, op.table);
-      PutRow(out, op.row);
+      PutRow(out, op.row, strings);
       break;
     case WalOp::Kind::kUpdate:
-      PutVarString(out, op.table);
-      PutRow(out, op.row);
-      PutRow(out, op.row2);
+      PutRow(out, op.row, strings);
+      PutRow(out, op.row2, strings);
       break;
     case WalOp::Kind::kStatement:
-      PutVarString(out, op.sql);
       break;
     case WalOp::Kind::kTriggerState:
-      PutVarString(out, op.table);
       out->push_back(op.quarantined ? 1 : 0);
       PutVarint(out, ZigZag(op.failures));
       break;
     case WalOp::Kind::kDdl:
-      PutVarString(out, op.table);
-      PutVarString(out, op.sql);
+      put_field(op.sql, kSecondStringRef, second_ref);
       PutVarint(out, op.schema_version);
       break;
   }
-}
-
-std::string EncodeRecord(const std::vector<WalOp>& ops) {
-  std::string payload;
-  PutVarint(&payload, ops.size());
-  for (const WalOp& op : ops) PutOp(&payload, op);
-
-  std::string record;
-  record.reserve(kRecordHeaderSize + payload.size());
-  PutU32(&record, static_cast<uint32_t>(payload.size()) | kCompactRecord);
-  PutU32(&record, Crc32c(payload));
-  record.append(payload);
-  return record;
 }
 
 // Bounds-checked reader over one record payload, in either format. Every
@@ -177,17 +233,42 @@ class PayloadReader {
     return true;
   }
 
-  bool ReadString(std::string* s) {
+  // A spelled-out string; a compact record numbers it for later references.
+  bool ReadString(std::string_view* s) {
     size_t len = 0;
     if (!ReadCount(&len)) return false;
-    s->assign(data_.data() + offset_, len);
+    *s = data_.substr(offset_, len);
     offset_ += len;
+    if (compact_) strings_.push_back(*s);
+    return true;
+  }
+
+  // A reference to a string spelled out earlier in this record. Legacy
+  // records number no strings, so any reference inside one is out of range:
+  // like a forward reference, it is corruption.
+  bool ReadStringRef(std::string_view* s) {
+    uint64_t index = 0;
+    if (!GetVarint(data_, &offset_, &index) || index >= strings_.size()) return false;
+    *s = strings_[index];
+    return true;
+  }
+
+  bool ReadField(std::string* s, bool reference) {
+    std::string_view view;
+    if (!(reference ? ReadStringRef(&view) : ReadString(&view))) return false;
+    s->assign(view);
     return true;
   }
 
   bool ReadValue(Value* v) {
     uint8_t tag = 0;
     if (!ReadByte(&tag)) return false;
+    if (tag == kStringRefTag) {
+      std::string_view s;
+      if (!ReadStringRef(&s)) return false;
+      *v = Value::String(std::string(s));
+      return true;
+    }
     switch (static_cast<TypeId>(tag)) {
       case TypeId::kNull:
         *v = Value::Null();
@@ -219,9 +300,9 @@ class PayloadReader {
         return true;
       }
       case TypeId::kString: {
-        std::string str;
-        if (!ReadString(&str)) return false;
-        *v = Value::String(std::move(str));
+        std::string_view s;
+        if (!ReadString(&s)) return false;
+        *v = Value::String(std::string(s));
         return true;
       }
     }
@@ -244,24 +325,28 @@ class PayloadReader {
   bool ReadOp(WalOp* op) {
     uint8_t kind = 0;
     if (!ReadByte(&kind)) return false;
-    op->kind = static_cast<WalOp::Kind>(kind);
+    const bool first_ref = (kind & kFirstStringRef) != 0;
+    const bool second_ref = (kind & kSecondStringRef) != 0;
+    op->kind = static_cast<WalOp::Kind>(kind & kOpKindMask);
+    if (second_ref && op->kind != WalOp::Kind::kDdl) return false;
     // seltrig-lint: dispatch(WalOp::Kind)
     switch (op->kind) {
       case WalOp::Kind::kInsert:
       case WalOp::Kind::kDelete:
-        return ReadString(&op->table) && ReadRow(&op->row);
+        return ReadField(&op->table, first_ref) && ReadRow(&op->row);
       case WalOp::Kind::kUpdate:
-        return ReadString(&op->table) && ReadRow(&op->row) && ReadRow(&op->row2);
+        return ReadField(&op->table, first_ref) && ReadRow(&op->row) &&
+               ReadRow(&op->row2);
       case WalOp::Kind::kStatement:
-        return ReadString(&op->sql);
+        return ReadField(&op->sql, first_ref);
       case WalOp::Kind::kTriggerState: {
         uint8_t quarantined = 0;
-        if (!ReadString(&op->table) || !ReadByte(&quarantined)) return false;
+        if (!ReadField(&op->table, first_ref) || !ReadByte(&quarantined)) return false;
         op->quarantined = quarantined != 0;
         return ReadSigned(&op->failures);
       }
       case WalOp::Kind::kDdl:
-        return ReadString(&op->table) && ReadString(&op->sql) &&
+        return ReadField(&op->table, first_ref) && ReadField(&op->sql, second_ref) &&
                ReadUnsigned(&op->schema_version);
     }
     return false;
@@ -271,6 +356,8 @@ class PayloadReader {
   std::string_view data_;
   size_t offset_ = 0;
   bool compact_;
+  // Compact records only: the strings spelled out so far, in payload order.
+  std::vector<std::string_view> strings_;
 };
 
 bool DecodeRecordPayload(std::string_view payload, bool compact,
@@ -364,6 +451,20 @@ std::string WalSegmentHeader(uint64_t seq, uint64_t epoch) {
   PutU64(&header, seq);
   PutU64(&header, epoch);
   return header;
+}
+
+std::string EncodeWalRecord(const std::vector<WalOp>& ops) {
+  std::string payload;
+  StringTable strings;
+  PutVarint(&payload, ops.size());
+  for (const WalOp& op : ops) PutOp(&payload, op, &strings);
+
+  std::string record;
+  record.reserve(kRecordHeaderSize + payload.size());
+  PutU32(&record, static_cast<uint32_t>(payload.size()) | kCompactRecord);
+  PutU32(&record, Crc32c(payload));
+  record.append(payload);
+  return record;
 }
 
 Result<std::vector<WalOp>> DecodeWalRecord(std::string_view record) {
@@ -603,7 +704,7 @@ Status WalWriter::Append(const std::vector<WalOp>& ops, uint64_t* commit_seq,
                          WalPosition* pos) {
   *commit_seq = 0;
   if (ops.empty()) return Status::OK();
-  std::string record = EncodeRecord(ops);
+  std::string record = EncodeWalRecord(ops);
 
   MutexLock lock(&mutex_);
   if (poisoned_) {

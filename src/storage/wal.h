@@ -14,10 +14,16 @@
 //            | payload
 //   payload: op count (varint) | ops (see WalOp encoding in wal.cc)
 // Counts, string lengths and integer values are LEB128 varints (zig-zag for
-// signed values); doubles are 8 bytes little-endian. Readers also accept
-// legacy records (top bit of the length clear: u32 counts and string
-// lengths, u64 integers) and the epoch-less v1 header ("SLTWAL1\n" | seq)
-// from pre-replication journals, which reports epoch 0.
+// signed values); doubles are 8 bytes little-endian. A string that repeats
+// within one record (a table name, a string cell, STMT/DDL SQL) is spelled
+// out once and then written as a varint back-reference to that first
+// occurrence: a cell type tag outside TypeId's range, or a flag bit on the
+// op's kind byte. A record with no repeated string carries no reference and
+// is byte for byte the compact encoding from before references existed.
+// Readers also accept legacy records (top bit of the length clear: u32
+// counts and string lengths, u64 integers, no references) and the
+// epoch-less v1 header ("SLTWAL1\n" | seq) from pre-replication journals,
+// which reports epoch 0.
 //
 // Epochs (docs/REPLICATION.md): the epoch counts failover promotions. A
 // primary writes every segment under its current epoch; when a follower is
@@ -49,6 +55,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/file_util.h"
@@ -110,6 +117,10 @@ inline constexpr uint64_t kWalSegmentHeaderSize = 24;
 // puts at the start of every segment). The replication applier uses it to
 // materialize received segments locally.
 std::string WalSegmentHeader(uint64_t seq, uint64_t epoch);
+
+// Frames `ops` as one raw journal record (length | crc | payload), exactly as
+// WalWriter::Append writes it.
+std::string EncodeWalRecord(const std::vector<WalOp>& ops);
 
 // Validates and decodes one raw journal record (length | crc | payload, as
 // appended by WalWriter and shipped verbatim by replication). kDataLoss on a

@@ -159,6 +159,73 @@ TEST_F(RecoveryTest, JournalOfLegacyRecordsStillRecovers) {
   EXPECT_EQ(Count(db, "log"), 2);
 }
 
+TEST_F(RecoveryTest, JournalOfCompactRecordsStillRecovers) {
+  // A journal written by a build whose compact records spelled every string
+  // out: write one with this build (the audited SELECT's record repeats its
+  // statement text once per logged row), re-encode every record that way,
+  // then recover it.
+  {
+    std::unique_ptr<Database> db = OpenDurable();
+    ASSERT_NE(db, nullptr);
+    SetUpAuditedSchema(db.get());
+    ASSERT_TRUE(db->Execute("INSERT INTO patients VALUES (3, 'Alice', 'cough'), "
+                            "(4, 'Alice', 'flu'), (5, 'Alice', '')").ok());
+    ASSERT_TRUE(db->Execute("SELECT name, diagnosis FROM patients "
+                            "WHERE name = 'Alice'").ok());
+    ASSERT_TRUE(db->Execute("UPDATE patients SET diagnosis = 'measles' "
+                            "WHERE patientid = 2").ok());
+    ASSERT_EQ(Count(db.get(), "log"), 4);
+  }
+  Result<std::vector<WalSegment>> segments = ListWalSegments(dir_ + "/wal");
+  ASSERT_TRUE(segments.ok());
+  uint64_t commits = 0;
+  size_t shared_bytes = 0;
+  size_t unshared_bytes = 0;
+  for (const WalSegment& segment : *segments) {
+    Result<WalSegmentContents> contents = ReadWalSegment(segment.path);
+    ASSERT_TRUE(contents.ok());
+    ASSERT_FALSE(contents->torn);
+    std::string file = WalSegmentHeader(contents->seq, contents->epoch);
+    for (const std::vector<WalOp>& commit : contents->commits) {
+      file += compact_wal::EncodeRecord(commit);
+      shared_bytes += EncodeWalRecord(commit).size();
+      ++commits;
+    }
+    unshared_bytes += file.size() - kWalSegmentHeaderSize;
+    std::ofstream(segment.path, std::ios::binary | std::ios::trunc)
+        .write(file.data(), static_cast<std::streamsize>(file.size()));
+  }
+  EXPECT_LT(shared_bytes, unshared_bytes) << "the audited SELECT repeats strings";
+
+  RecoveryStats stats;
+  Result<std::unique_ptr<Database>> reopened = Database::Recover(dir_, &stats);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  Database* db = reopened->get();
+  EXPECT_EQ(stats.commits_replayed, commits);
+  EXPECT_FALSE(stats.truncated_torn_tail);
+  EXPECT_EQ(Count(db, "patients"), 5);
+  EXPECT_EQ(Count(db, "log"), 4);
+  ExecOptions quiet;
+  quiet.enable_select_triggers = false;
+  auto logged = db->ExecuteWithOptions(
+      "SELECT patientid, sql FROM log ORDER BY patientid", quiet);
+  ASSERT_TRUE(logged.ok()) << logged.status().message();
+  ASSERT_EQ(logged->result.rows.size(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(logged->result.rows[i][0].AsInt(), static_cast<int64_t>(i == 0 ? 1 : i + 2));
+  }
+  EXPECT_EQ(logged->result.rows[0][1], logged->result.rows[3][1]);
+  EXPECT_NE(logged->result.rows[0][1].AsString().find("WHERE name = 'Alice'"),
+            std::string::npos);
+  auto diag = db->Execute("SELECT diagnosis FROM patients WHERE patientid = 2");
+  ASSERT_TRUE(diag.ok());
+  EXPECT_EQ(diag->rows[0][0].AsString(), "measles");
+  // The trigger was re-armed from the recovered journal, and new commits
+  // append records with references behind the re-encoded ones.
+  ASSERT_TRUE(db->Execute("SELECT name FROM patients WHERE patientid = 1").ok());
+  EXPECT_EQ(Count(db, "log"), 5);
+}
+
 TEST_F(RecoveryTest, AlterTableReplaysToTheSameCatalogVersion) {
   {
     std::unique_ptr<Database> db = OpenDurable();

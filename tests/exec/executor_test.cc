@@ -111,6 +111,27 @@ TEST_F(IntegerRangeTest, DistinctSumOverflowErrors) {
   ExpectOutOfRange("SELECT SUM(DISTINCT x) FROM big");
 }
 
+// Date arithmetic fails when its result leaves the int32 day range instead
+// of truncating the day count or wrapping.
+TEST_F(IntegerRangeTest, DateArithmeticOutOfRangeErrors) {
+  auto expect_date_out_of_range = [&](const std::string& sql) {
+    auto r = db_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), ErrorCode::kExecutionError) << sql;
+    EXPECT_NE(r.status().message().find("date out of range"), std::string::npos)
+        << r.status().ToString();
+  };
+  expect_date_out_of_range("SELECT DATE '1995-01-01' + 4294967296");
+  expect_date_out_of_range("SELECT DATE '1995-01-01' + 2147483647");
+  expect_date_out_of_range("SELECT DATE '1995-01-01' - x FROM big WHERE id = 3");
+  expect_date_out_of_range("SELECT x + DATE '1995-01-01' FROM big WHERE id = 3");
+  auto in_range = db_.Execute("SELECT DATE '1995-01-01' + 31, DATE '1995-01-01' - 1");
+  ASSERT_TRUE(in_range.ok()) << in_range.status().ToString();
+  EXPECT_EQ(in_range->rows[0][0].ToString(), "1995-02-01");
+  EXPECT_EQ(in_range->rows[0][1].ToString(), "1994-12-31");
+  EXPECT_EQ(Scalar("SELECT DATE '1995-01-01' - DATE '1994-01-01'"), 365);
+}
+
 TEST_F(ExecutorTest, QueryResultToStringTruncates) {
   auto r = db_.Execute("SELECT id FROM t ORDER BY id");
   ASSERT_TRUE(r.ok());

@@ -128,6 +128,45 @@ TEST(EvaluatorTest, DateArithmetic) {
   EXPECT_EQ(Eval(std::move(diff)).AsInt(), 30);
 }
 
+// Date arithmetic runs in int64: a day count beyond int32 is not truncated,
+// date - date cannot overflow, and a date outside the int32 day range fails.
+TEST(EvaluatorTest, DateArithmeticOutOfRangeErrors) {
+  auto date_arith = [](ArithOp op, Value a, Value b) {
+    return MakeArith(op, MakeLiteral(std::move(a)), MakeLiteral(std::move(b)));
+  };
+  auto expect_date_out_of_range = [](ExprPtr e) {
+    EvalContext ctx;
+    auto r = EvalExpr(*e, ctx);
+    ASSERT_FALSE(r.ok()) << e->ToString();
+    EXPECT_EQ(r.status().code(), ErrorCode::kExecutionError);
+    EXPECT_NE(r.status().message().find("date out of range"), std::string::npos);
+  };
+  const int32_t d = CivilToDays(1995, 1, 1);
+  EXPECT_EQ(Eval(date_arith(ArithOp::kAdd, Value::Date(d),
+                            Value::Int(int64_t{INT32_MAX} - d)))
+                .AsDate(),
+            INT32_MAX);
+  EXPECT_EQ(Eval(date_arith(ArithOp::kSub, Value::Date(INT32_MIN + 1), Value::Int(1)))
+                .AsDate(),
+            INT32_MIN);
+  EXPECT_EQ(Eval(date_arith(ArithOp::kAdd, Value::Int(-1), Value::Date(INT32_MIN + 1)))
+                .AsDate(),
+            INT32_MIN);
+  expect_date_out_of_range(
+      date_arith(ArithOp::kAdd, Value::Date(d), Value::Int(int64_t{1} << 32)));
+  expect_date_out_of_range(
+      date_arith(ArithOp::kAdd, Value::Date(d), Value::Int(INT32_MAX)));
+  expect_date_out_of_range(
+      date_arith(ArithOp::kAdd, Value::Int(INT64_MAX), Value::Date(d)));
+  expect_date_out_of_range(
+      date_arith(ArithOp::kSub, Value::Date(d), Value::Int(INT64_MIN)));
+  expect_date_out_of_range(
+      date_arith(ArithOp::kSub, Value::Date(INT32_MIN), Value::Int(1)));
+  Value span = Eval(date_arith(ArithOp::kSub, Value::Date(INT32_MAX), Value::Date(INT32_MIN)));
+  EXPECT_EQ(span.type(), TypeId::kInt);
+  EXPECT_EQ(span.AsInt(), int64_t{INT32_MAX} - int64_t{INT32_MIN});
+}
+
 TEST(EvaluatorTest, NullPropagationArithmetic) {
   auto add = MakeArith(ArithOp::kAdd, MakeLiteral(Value::Null()), MakeLiteral(Value::Int(1)));
   EXPECT_TRUE(Eval(std::move(add)).is_null());

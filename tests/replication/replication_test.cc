@@ -21,13 +21,16 @@
 
 #include "catalog/catalog.h"
 #include "common/fault_injector.h"
+#include "common/file_util.h"
 #include "engine/database.h"
 #include "engine/session.h"
 #include "replication/applier.h"
 #include "replication/shipper.h"
 #include "replication/transport.h"
 #include "storage/table.h"
+#include "storage/wal.h"
 #include "types/value.h"
+#include "../storage/legacy_wal_record.h"
 
 namespace seltrig {
 namespace {
@@ -221,6 +224,66 @@ TEST_F(ReplicationTest, SyncAckCoversFollowerBeforeStatementReturns) {
     ASSERT_EQ(Projection((*applier)->database().get()), Projection(db.get()))
         << "follower lagged a sync-acknowledged statement: " << sql;
   }
+  shipper.Stop();
+  (*applier)->Stop();
+}
+
+TEST_F(ReplicationTest, AuditedSelectRecordShipsVerbatimToASyncFollower) {
+  std::unique_ptr<Database> db = OpenPrimary(primary_dir_);
+  ASSERT_NE(db, nullptr);
+  auto applier = ReplicaApplier::Open(follower_dir_);
+  ASSERT_TRUE(applier.ok()) << applier.status().message();
+
+  LogShipper shipper(db.get(), TestOptions(ReplicationAckMode::kSync));
+  shipper.AddFollower("f0", Connect(applier->get()));
+  for (const std::string& sql : AuditedWorkload()) {
+    ASSERT_TRUE(db->Execute(sql).ok()) << sql;
+  }
+  std::string insert = "INSERT INTO patients VALUES ";
+  for (int id = 100; id < 160; ++id) {
+    if (id > 100) insert += ", ";
+    insert += '(';
+    insert += std::to_string(id);
+    insert += ", 'Alice', 'd";
+    insert += std::to_string(id % 3);
+    insert += "')";
+  }
+  ASSERT_TRUE(db->Execute(insert).ok());
+
+  // One statement, one record: 61 audit rows that repeat the table name,
+  // the timestamp, the user and the statement text.
+  const WalPosition before = db->wal()->current_position();
+  ASSERT_TRUE(db->Execute("SELECT patientid, diagnosis FROM patients "
+                          "WHERE name = 'Alice'").ok());
+  const WalPosition after = db->wal()->current_position();
+  ASSERT_EQ(before.seq, after.seq);
+  ASSERT_FALSE(shipper.Followers()[0].degraded);
+
+  ExecOptions quiet;
+  quiet.enable_select_triggers = false;
+  const std::string log_query = "SELECT ts, userid, sql, patientid FROM log ORDER BY patientid";
+  auto primary_log = db->ExecuteWithOptions(log_query, quiet);
+  auto follower_log = (*applier)->database()->ExecuteWithOptions(log_query, quiet);
+  ASSERT_TRUE(primary_log.ok() && follower_log.ok());
+  EXPECT_EQ(primary_log->result.rows.size(), 63u);  // 1 + 1 earlier, 61 now
+  EXPECT_EQ(follower_log->result.rows, primary_log->result.rows);
+
+  // The follower's segment holds the primary's record bytes, references and
+  // all.
+  const std::string segment = "/wal/" + WalSegmentFileName(after.seq);
+  const uint64_t length = after.offset - before.offset;
+  Result<std::string> primary_bytes =
+      ReadFileRange(primary_dir_ + segment, before.offset, length);
+  Result<std::string> follower_bytes =
+      ReadFileRange(follower_dir_ + segment, before.offset, length);
+  ASSERT_TRUE(primary_bytes.ok() && follower_bytes.ok());
+  EXPECT_EQ(*follower_bytes, *primary_bytes);
+  Result<std::vector<WalOp>> ops = DecodeWalRecord(*primary_bytes);
+  ASSERT_TRUE(ops.ok()) << ops.status().message();
+  EXPECT_EQ(ops->size(), 61u);
+  EXPECT_LT(primary_bytes->size() * 5, compact_wal::EncodeRecord(*ops).size())
+      << "repeated strings are written once";
+
   shipper.Stop();
   (*applier)->Stop();
 }

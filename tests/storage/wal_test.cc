@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -373,31 +375,338 @@ TEST_F(WalTest, CompactRecordIsSmallerThanLegacy) {
             legacy_wal::EncodeRecord(SampleCommit(7)).size());
 }
 
+// The record an audited SELECT writes through a logging trigger: one audit
+// row per accessed id, each repeating the table name, the timestamp, the
+// user and the statement text.
+std::vector<WalOp> AuditCommit(int rows) {
+  const std::string sql =
+      "SELECT c_custkey, c_name FROM customer WHERE c_mktsegment = 'BUILDING'";
+  std::vector<WalOp> ops;
+  for (int i = 0; i < rows; ++i) {
+    ops.push_back(WalOp::Insert(
+        "audit_log", {Value::String("2026-01-01 00:00:00"), Value::String("bench"),
+                      Value::String(sql), Value::Int(1000 + i)}));
+  }
+  return ops;
+}
+
+TEST_F(WalTest, RepeatedStringsAreWrittenOnce) {
+  const std::vector<WalOp> commit = AuditCommit(93);
+  const std::string record = EncodeWalRecord(commit);
+  EXPECT_EQ(record, WrittenRecord(commit));
+  EXPECT_LT(record.size() * 5, compact_wal::EncodeRecord(commit).size());
+  // Past the first row, a row costs its kind byte, a table reference, its
+  // value count, three two-byte cell references and a three-byte key.
+  EXPECT_EQ(record.size(), EncodeWalRecord(AuditCommit(92)).size() + 12);
+  Result<std::vector<WalOp>> decoded = DecodeWalRecord(record);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_EQ(*decoded, commit);
+}
+
+TEST_F(WalTest, RecordWithoutRepeatedStringsIsTheUnsharedCompactEncoding) {
+  // Every string distinct: nothing to reference, so the bytes are exactly
+  // those written before records shared strings. Repeated empty strings are
+  // never referenced either (a reference is no shorter).
+  const std::vector<WalOp> commit = {
+      WalOp::Insert("t", {Value::Int(1), Value::String("alpha"), Value::String(""),
+                          Value::Null(), Value::Double(2.5), Value::Date(-3)}),
+      WalOp::Update("u", {Value::String("beta"), Value::String("")},
+                    {Value::String("gamma"), Value::Bool(true)}),
+      WalOp::Delete("v", {Value::String(std::string(200, 'x'))}),
+      WalOp::Statement("CREATE TABLE w (x INT)"),
+      WalOp::TriggerState("trig", true, 3),
+      WalOp::Ddl("w", "ALTER TABLE w ADD COLUMN y INT", 2),
+  };
+  EXPECT_EQ(EncodeWalRecord(commit), compact_wal::EncodeRecord(commit));
+  EXPECT_EQ(WrittenRecord(commit), compact_wal::EncodeRecord(commit));
+}
+
 TEST_F(WalTest, LegacyRecordsStillReplayBesideCompactOnes) {
-  // A segment begun by an older build (legacy records) and continued by this
-  // one (compact records): every reader decodes both, in order.
+  // A segment begun by an older build (legacy records), continued by a build
+  // that spelled every string out (compact records without references) and
+  // then by this one (compact records with references): every reader
+  // decodes all three, in order.
   std::filesystem::create_directories(wal_dir());
   const std::string path = wal_dir() + "/" + WalSegmentFileName(1);
+  const std::vector<std::vector<WalOp>> expected = {
+      SampleCommit(1), EdgeValueCommit(), SampleCommit(2), AuditCommit(5),
+      SampleCommit(3), AuditCommit(7)};
+  const std::string shared = WrittenRecord(AuditCommit(7));
+  ASSERT_LT(shared.size(), compact_wal::EncodeRecord(AuditCommit(7)).size())
+      << "the last record must use references";
   WriteSegment(path, {legacy_wal::EncodeRecord(SampleCommit(1)),
                       legacy_wal::EncodeRecord(EdgeValueCommit()),
-                      WrittenRecord(SampleCommit(2))});
+                      compact_wal::EncodeRecord(SampleCommit(2)),
+                      compact_wal::EncodeRecord(AuditCommit(5)),
+                      WrittenRecord(SampleCommit(3)), shared});
 
   WalSegmentContents contents = *ReadWalSegment(path);
   EXPECT_FALSE(contents.torn);
-  ASSERT_EQ(contents.commits.size(), 3u);
-  EXPECT_EQ(contents.commits[0], SampleCommit(1));
-  EXPECT_EQ(contents.commits[1], EdgeValueCommit());
-  EXPECT_EQ(contents.commits[2], SampleCommit(2));
+  EXPECT_EQ(contents.commits, expected);
 
   WalTailReader reader(wal_dir());
   reader.Seek(1, 0);
-  for (const std::vector<WalOp>& expected :
-       {SampleCommit(1), EdgeValueCommit(), SampleCommit(2)}) {
+  for (const std::vector<WalOp>& commit : expected) {
     WalTailReader::RecordRef ref;
     ASSERT_TRUE(reader.Next(&ref).ok());
     Result<std::vector<WalOp>> decoded = DecodeWalRecord(ref.bytes);
     ASSERT_TRUE(decoded.ok()) << decoded.status().message();
-    EXPECT_EQ(*decoded, expected);
+    EXPECT_EQ(*decoded, commit);
+  }
+  WalTailReader::RecordRef past_end;
+  EXPECT_EQ(reader.Next(&past_end).code(), ErrorCode::kUnavailable);
+}
+
+// Seeded commits mixing every op kind with repeated and unique strings, empty
+// strings, cells equal to a table name, UPD images sharing cells, and some
+// commits with more than 128 distinct strings, so that references need
+// two-byte indexes.
+std::vector<std::vector<WalOp>> GeneratedCommits(uint64_t seed, int count) {
+  std::mt19937_64 rng(seed);
+  auto pick = [&rng](uint64_t n) { return static_cast<uint64_t>(rng() % n); };
+  const std::vector<std::string> tables = {"t", "audit_log", "customer", ""};
+  std::vector<std::vector<WalOp>> commits;
+  for (int c = 0; c < count; ++c) {
+    std::vector<std::string> pool = tables;
+    pool.push_back(std::string(381, static_cast<char>('a' + c % 26)));
+    const int distinct = c % 5 == 0 ? 150 + static_cast<int>(pick(100))
+                                    : static_cast<int>(pick(8));
+    for (int i = 0; i < distinct; ++i) {
+      std::string name = std::to_string(c);
+      name += '_';
+      name += std::to_string(i);
+      name.append(pick(20), 'z');
+      pool.push_back(std::move(name));
+    }
+    // Repeat, most of the time, one of the strings spelled out so far.
+    auto string_value = [&]() -> Value {
+      return Value::String(pool[pick(4) == 0 ? pick(4) : pick(pool.size())]);
+    };
+    auto random_value = [&]() -> Value {
+      switch (pick(6)) {
+        case 0:
+          return Value::Null();
+        case 1:
+          return Value::Int(static_cast<int64_t>(rng()));
+        case 2:
+          return Value::Date(static_cast<int32_t>(rng()));
+        case 3:
+          return Value::Double(static_cast<double>(pick(1000)) / 7);
+        case 4:
+          return Value::Bool(pick(2) == 0);
+        default:
+          return string_value();
+      }
+    };
+    auto random_row = [&]() {
+      Row row;
+      for (uint64_t i = 0, n = pick(6); i < n; ++i) row.push_back(random_value());
+      return row;
+    };
+    std::vector<WalOp> ops;
+    // The big commits spell their distinct strings out first, then repeat
+    // them, so late references carry indexes above 127.
+    if (distinct >= 128) {
+      for (size_t i = tables.size(); i < pool.size(); ++i) {
+        ops.push_back(WalOp::Insert(tables[pick(tables.size())],
+                                    {Value::String(pool[i]), Value::Int(static_cast<int64_t>(i))}));
+      }
+    }
+    for (uint64_t i = 0, n = 1 + pick(30); i < n; ++i) {
+      const std::string& table = tables[pick(tables.size())];
+      switch (pick(7)) {
+        case 0:
+          ops.push_back(WalOp::Insert(table, random_row()));
+          break;
+        case 1:
+          ops.push_back(WalOp::Delete(table, random_row()));
+          break;
+        case 2: {
+          Row old_row = random_row();
+          Row new_row = old_row;
+          if (!new_row.empty()) new_row[pick(new_row.size())] = random_value();
+          ops.push_back(WalOp::Update(table, std::move(old_row), std::move(new_row)));
+          break;
+        }
+        case 3:
+          ops.push_back(WalOp::Statement(string_value().AsString()));
+          break;
+        case 4:
+          ops.push_back(WalOp::TriggerState(string_value().AsString(), pick(2) == 0,
+                                            static_cast<int64_t>(pick(9)) - 4));
+          break;
+        case 5:
+          ops.push_back(WalOp::Ddl(table, string_value().AsString(), pick(1000)));
+          break;
+        default:  // a cell equal to a table name
+          ops.push_back(WalOp::Insert(table, {Value::String(tables[pick(3)]),
+                                              Value::String(table)}));
+          break;
+      }
+    }
+    commits.push_back(std::move(ops));
+  }
+  return commits;
+}
+
+// True when some non-empty string occurs twice in `ops`.
+bool RepeatsAString(const std::vector<WalOp>& ops) {
+  std::set<std::string> seen;
+  auto repeats = [&seen](const std::string& s) {
+    return !s.empty() && !seen.insert(s).second;
+  };
+  for (const WalOp& op : ops) {
+    bool repeat = false;
+    if (op.kind == WalOp::Kind::kStatement) {
+      repeat = repeats(op.sql);
+    } else {
+      repeat = repeats(op.table) ||
+               (op.kind == WalOp::Kind::kDdl && repeats(op.sql));
+    }
+    for (const Row* row : {&op.row, &op.row2}) {
+      for (const Value& v : *row) {
+        if (v.type() == TypeId::kString) repeat = repeats(v.AsString()) || repeat;
+      }
+    }
+    if (repeat) return true;
+  }
+  return false;
+}
+
+TEST_F(WalTest, GeneratedCommitsRoundTripAndNeverGrow) {
+  const std::vector<std::vector<WalOp>> commits = GeneratedCommits(20261021, 120);
+  std::vector<std::string> records;
+  size_t unshared_bytes = 0;
+  size_t shared_bytes = 0;
+  for (const std::vector<WalOp>& commit : commits) {
+    const std::string record = EncodeWalRecord(commit);
+    const std::string unshared = compact_wal::EncodeRecord(commit);
+    Result<std::vector<WalOp>> decoded = DecodeWalRecord(record);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    EXPECT_EQ(*decoded, commit);
+    EXPECT_LE(record.size(), unshared.size());
+    if (!RepeatsAString(commit)) {
+      EXPECT_EQ(record, unshared);
+    }
+    unshared_bytes += unshared.size();
+    shared_bytes += record.size();
+    records.push_back(record);
+  }
+  EXPECT_LT(shared_bytes, unshared_bytes);
+
+  // A reference past index 127 takes a two-byte varint: 200 distinct strings
+  // after the table name, then the last of them again.
+  std::vector<WalOp> wide;
+  for (int i = 0; i < 200; ++i) {
+    wide.push_back(WalOp::Insert("w", {Value::String(std::to_string(i) + "_distinct")}));
+  }
+  const size_t without_repeat = EncodeWalRecord(wide).size();
+  wide.push_back(WalOp::Insert("w", {Value::String("199_distinct")}));
+  // Kind byte, table reference, value count, reference tag, index 200.
+  EXPECT_EQ(EncodeWalRecord(wide).size(), without_repeat + 1 + 1 + 1 + 1 + 2);
+  Result<std::vector<WalOp>> wide_decoded = DecodeWalRecord(EncodeWalRecord(wide));
+  ASSERT_TRUE(wide_decoded.ok()) << wide_decoded.status().message();
+  EXPECT_EQ(*wide_decoded, wide);
+
+  // The same records through a segment: the reader's string table starts
+  // empty at every record.
+  std::filesystem::create_directories(wal_dir());
+  const std::string path = wal_dir() + "/" + WalSegmentFileName(1);
+  WriteSegment(path, records);
+  WalSegmentContents contents = *ReadWalSegment(path);
+  EXPECT_FALSE(contents.torn);
+  EXPECT_EQ(contents.commits, commits);
+}
+
+TEST_F(WalTest, BadStringReferencesReadAsTorn) {
+  std::filesystem::create_directories(wal_dir());
+  const std::string path = wal_dir() + "/" + WalSegmentFileName(1);
+  constexpr char kRefTag = 0x10;           // a string cell given by reference
+  constexpr uint8_t kFirstRef = 0x80;      // kind-byte flag: table is a reference
+  constexpr uint8_t kSecondRef = 0x40;     // kind-byte flag: DDL SQL is a reference
+  const uint8_t insert = static_cast<uint8_t>(WalOp::Kind::kInsert);
+  // Compact: insert into "t" one row whose only cell is `cell`.
+  auto insert_with_cell = [&](const std::string& cell) {
+    std::string payload;
+    payload.push_back(1);  // one op
+    payload.push_back(static_cast<char>(insert));
+    payload.push_back(1);  // table name length
+    payload.push_back('t');
+    payload.push_back(1);  // one value
+    return payload + cell;
+  };
+  const std::string good = insert_with_cell(std::string{kRefTag, 0});
+  std::string forward;  // op 1's cell names the table op 2 spells out
+  forward.push_back(2);
+  forward += insert_with_cell(std::string{kRefTag, 1}).substr(1);
+  forward += std::string{static_cast<char>(insert), 1, 'u', 0};
+  std::string table_ref_out_of_range;
+  table_ref_out_of_range.push_back(1);
+  table_ref_out_of_range.push_back(static_cast<char>(insert | kFirstRef));
+  table_ref_out_of_range.push_back(0);  // index 0, but nothing is spelled out yet
+  table_ref_out_of_range.push_back(0);  // no values
+  std::string second_ref_on_insert = good;
+  second_ref_on_insert[1] = static_cast<char>(insert | kSecondRef);
+  const std::vector<std::string> bad_compact = {
+      forward,
+      insert_with_cell(std::string{kRefTag, 1}),                    // out of range
+      insert_with_cell(std::string{kRefTag, '\x80', '\x01'}),      // 128, out of range
+      insert_with_cell(std::string{kRefTag}),                       // truncated index
+      table_ref_out_of_range,
+      second_ref_on_insert,
+  };
+  for (const std::string& payload : bad_compact) {
+    SCOPED_TRACE(::testing::PrintToString(payload));
+    WriteSegment(path, {CompactRecord(good), CompactRecord(payload)});
+    WalSegmentContents contents = *ReadWalSegment(path);
+    EXPECT_TRUE(contents.torn);
+    EXPECT_EQ(contents.commits.size(), 1u);
+    EXPECT_EQ(DecodeWalRecord(CompactRecord(payload)).status().code(),
+              ErrorCode::kDataLoss);
+  }
+  Result<std::vector<WalOp>> decoded = DecodeWalRecord(CompactRecord(good));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_EQ(*decoded, (std::vector<WalOp>{WalOp::Insert("t", {Value::String("t")})}));
+
+  // A legacy record carries no references: the same shapes, in the legacy
+  // encoding, after "t" was spelled out, are corruption too.
+  auto legacy_record = [](const std::string& payload) {
+    std::string record;
+    codec::PutU32(&record, static_cast<uint32_t>(payload.size()));
+    codec::PutU32(&record, Crc32c(payload));
+    return record + payload;
+  };
+  auto legacy_payload = [&](int second_kind, const std::string& second_rest) {
+    std::string payload;
+    codec::PutU32(&payload, 2);  // two ops
+    payload.push_back(static_cast<char>(insert));
+    codec::PutString(&payload, "t");
+    codec::PutU32(&payload, 0);  // no values
+    payload.push_back(static_cast<char>(second_kind));
+    return payload + second_rest;
+  };
+  std::string one_ref_cell;
+  codec::PutString(&one_ref_cell, "t");
+  codec::PutU32(&one_ref_cell, 1);
+  one_ref_cell += std::string{kRefTag, 0};
+  std::string table_ref_then_no_values{0};
+  codec::PutU32(&table_ref_then_no_values, 0);
+  const std::string legacy_good = legacy_record(legacy_payload(insert, [] {
+    std::string rest;
+    codec::PutString(&rest, "t");
+    codec::PutU32(&rest, 0);
+    return rest;
+  }()));
+  ASSERT_TRUE(DecodeWalRecord(legacy_good).ok());
+  for (const std::string& record :
+       {legacy_record(legacy_payload(insert, one_ref_cell)),
+        legacy_record(legacy_payload(insert | kFirstRef, table_ref_then_no_values))}) {
+    SCOPED_TRACE(::testing::PrintToString(record));
+    WriteSegment(path, {legacy_good, record});
+    WalSegmentContents contents = *ReadWalSegment(path);
+    EXPECT_TRUE(contents.torn);
+    EXPECT_EQ(contents.commits.size(), 1u);
+    EXPECT_EQ(DecodeWalRecord(record).status().code(), ErrorCode::kDataLoss);
   }
 }
 

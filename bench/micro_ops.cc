@@ -1,6 +1,6 @@
 // Micro-operation benchmarks (google-benchmark): the audit operator's
 // per-row probe, placement algorithm latency, end-to-end query paths, the
-// journal record codec.
+// journal record codec, snapshot restore.
 //
 // Every run appends one line to BENCH_micro_ops.json at the repository root,
 // stamped with the git sha, build type and core count, holding each
@@ -9,8 +9,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "audit/placement.h"
 #include "bench_util.h"
 #include "engine/database.h"
+#include "engine/snapshot.h"
 #include "storage/wal.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -500,6 +504,34 @@ void BM_WalRecordRoundTrip(benchmark::State& state) {
   state.counters["record_bytes"] = static_cast<double>(record_bytes);
 }
 BENCHMARK(BM_WalRecordRoundTrip);
+
+// Restores an SF 0.01 TPC-H snapshot (about 86k rows over eight CSVs) into a
+// fresh Database per iteration: the cost a follower pays to install a
+// snapshot during catch-up, and recovery pays before replaying the journal.
+void BM_SnapshotLoad(benchmark::State& state) {
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           ("seltrig_bench_snapshot_" + std::to_string(::getpid())))
+                              .string();
+  {
+    Database source;
+    tpch::TpchConfig config;
+    config.scale_factor = 0.01;
+    if (!tpch::LoadTpch(&source, config).ok() || !SaveSnapshot(&source, dir).ok()) {
+      state.SkipWithError("could not write the snapshot");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    Database restored;
+    Status loaded = LoadSnapshot(&restored, dir);
+    if (!loaded.ok()) {
+      state.SkipWithError(loaded.message().c_str());
+      break;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_SnapshotLoad)->Unit(benchmark::kMillisecond)->Iterations(5);
 
 // Console output as usual, plus one summary entry per run for the trajectory
 // line main() appends.

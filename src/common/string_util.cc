@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cstdio>
 
 namespace seltrig {
 
@@ -65,6 +66,12 @@ bool LikeMatchImpl(const char* t, const char* t_end, const char* p,
 bool LikeMatch(std::string_view text, std::string_view pattern) {
   return LikeMatchImpl(text.data(), text.data() + text.size(), pattern.data(),
                        pattern.data() + pattern.size());
+}
+
+std::string FormatDoubleExact(double d) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  return buf;
 }
 
 }  // namespace seltrig

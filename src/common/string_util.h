@@ -1,4 +1,5 @@
-// Small string helpers shared across the engine (case folding, joining).
+// Small string helpers shared across the engine (case folding, joining,
+// exact double rendering).
 
 #ifndef SELTRIG_COMMON_STRING_UTIL_H_
 #define SELTRIG_COMMON_STRING_UTIL_H_
@@ -26,6 +27,11 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 // '_' matches exactly one character. Matching is case-sensitive, as in
 // standard SQL.
 bool LikeMatch(std::string_view text, std::string_view pattern);
+
+// Renders `d` with 17 significant digits (%.17g): the shortest fixed width
+// that strtod always reads back to the same bits. Snapshot CSVs and the CSV
+// loader's INSERT literals both use it, so no digit is lost on a reload.
+std::string FormatDoubleExact(double d);
 
 }  // namespace seltrig
 

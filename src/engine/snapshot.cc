@@ -7,6 +7,7 @@
 
 #include "common/fault_injector.h"
 #include "common/file_util.h"
+#include "common/string_util.h"
 #include "engine/csv_loader.h"
 #include "types/date.h"
 
@@ -43,11 +44,8 @@ std::string CsvField(const Value& v) {
       return FormatDate(v.AsDate());
     case TypeId::kBool:
       return v.AsBool() ? "true" : "false";
-    case TypeId::kDouble: {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.17g", v.AsDouble());
-      return buf;
-    }
+    case TypeId::kDouble:
+      return FormatDoubleExact(v.AsDouble());
     default:
       return v.ToString();
   }
@@ -164,6 +162,23 @@ Status WriteSnapshotFiles(Database* db, const std::string& dir,
   }
   SELTRIG_RETURN_IF_ERROR(fault::Maybe(fault_points::kSnapshotWrite));
   return WriteSnapshotManifest(dir, manifest);
+}
+
+// Restores one table's CSV. The rows go straight to storage with
+// Table::Insert, the call journal replay's inserts make: nothing can observe
+// them yet (the policy section runs after every CSV, and recovery enables
+// the journal after the whole load), so no statement is built or run per
+// row. Errors name the file and the record.
+Status LoadSnapshotTable(Database* db, const std::string& name,
+                         const std::string& path) {
+  SELTRIG_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
+  WriterMutexLock lock(&db->storage_mutex());
+  SELTRIG_ASSIGN_OR_RETURN(Table * table, db->catalog()->GetTable(name));
+  Status loaded =
+      ReadCsvRows(table->schema(), text, /*has_header=*/true,
+                  [table](Row row) { return table->Insert(std::move(row)).status(); });
+  if (loaded.ok()) return loaded;
+  return Status(loaded.code(), path + ": " + loaded.message());
 }
 
 }  // namespace
@@ -306,8 +321,7 @@ Status LoadSnapshot(Database* db, const std::string& dir) {
   for (const std::string& name : tables) {
     std::string path = dir + "/" + name + ".csv";
     if (!std::filesystem::exists(path)) continue;  // table from another source
-    Result<int64_t> loaded = LoadCsvFileIntoTable(db, name, path, /*has_header=*/true);
-    SELTRIG_RETURN_IF_ERROR(loaded.status());
+    SELTRIG_RETURN_IF_ERROR(LoadSnapshotTable(db, name, path));
   }
 
   if (!policy.empty()) {
@@ -320,6 +334,10 @@ Status LoadSnapshot(Database* db, const std::string& dir) {
           entry.trigger, /*quarantined=*/true, entry.failures));
     }
   }
+  // Into a journaled database (the shell's .open after .wal), schema.sql's
+  // statements were journaled but the rows were not. Checkpoint so the rows
+  // are durable and later journaled UPDATEs and DELETEs find them on replay.
+  if (db->wal() != nullptr) return db->Checkpoint();
   return Status::OK();
 }
 

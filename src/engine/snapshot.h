@@ -2,7 +2,8 @@
 // directory; load them back into a fresh Database.
 //
 // Format: <dir>/schema.sql holds CREATE TABLE statements; <dir>/<table>.csv
-// holds each table's rows (with a header); <dir>/MANIFEST holds the journal
+// holds each table's rows (with a header; DOUBLEs in %.17g, an empty string
+// as "", NULL as an empty field); <dir>/MANIFEST holds the journal
 // cut sequence and quarantine state (always written; wal_seq 0 marks a plain
 // snapshot taken outside any journal).
 //
@@ -72,11 +73,18 @@ struct SnapshotManifest {
 Status SaveSnapshot(Database* db, const std::string& dir,
                     const SnapshotOptions& options = SnapshotOptions());
 
-// Replays schema.sql and bulk-loads every CSV. Fails if any table to be
-// created already exists. Policy statements (the include_policy section) are
-// applied only after all CSVs are loaded, so DML triggers do not fire during
-// the load; quarantine state from MANIFEST is restored last. Loaded rows are
-// NOT journaled — Database::Recover enables the WAL only afterwards.
+// Replays schema.sql and restores every CSV. Fails if any table to be
+// created already exists. Each CSV row is typed by its table's schema
+// (ReadCsvRows, engine/csv_loader.h) and appended with Table::Insert under
+// the writer lock, as journal replay inserts rows, so every cell comes back
+// bit for bit. That is sound only because nothing observes the rows: policy
+// statements (the include_policy section) are applied after all CSVs are
+// loaded, so no DML trigger fires and the audit expressions build their ID
+// views from the loaded rows; quarantine state from MANIFEST is restored
+// last. Loaded rows are NOT journaled — Database::Recover enables the WAL
+// only afterwards; a load into an already journaled database ends with a
+// Checkpoint instead, which makes the rows durable. A malformed CSV fails
+// the load with an error naming the file and the record.
 Status LoadSnapshot(Database* db, const std::string& dir);
 
 Result<SnapshotManifest> ReadSnapshotManifest(const std::string& dir);

@@ -26,6 +26,14 @@ TEST(CsvTest, QuotedFields) {
   EXPECT_EQ((*r)[2], "plain");
 }
 
+TEST(CsvTest, ReportsWhichFieldsWereQuoted) {
+  std::vector<bool> quoted;
+  auto r = ParseCsvLine("a,\"\",,\"b\"", &quoted);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, (std::vector<std::string>{"a", "", "", "b"}));
+  EXPECT_EQ(quoted, (std::vector<bool>{false, true, false, true}));
+}
+
 TEST(CsvTest, UnterminatedQuoteRejected) {
   EXPECT_FALSE(ParseCsvLine("\"oops,b").ok());
 }

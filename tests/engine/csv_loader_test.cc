@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace seltrig {
 namespace {
 
@@ -33,6 +35,28 @@ TEST_F(CsvLoaderTest, LoadsTypedRows) {
   EXPECT_FALSE(r->rows[0][3].AsBool());
 }
 
+TEST_F(CsvLoaderTest, DoublesLoadExactly) {
+  auto loaded = LoadCsvIntoTable(&db_, "people",
+                                 "1,a,173665.47,,\n"
+                                 "2,b,-0.0,,\n",
+                                 /*has_header=*/false);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto r = db_.Execute("SELECT bal FROM people ORDER BY id");
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->rows.size(), 2u);
+  EXPECT_EQ(r->rows[0][0].AsDouble(), 173665.47);  // exact, not within ULPs
+  EXPECT_TRUE(std::signbit(r->rows[1][0].AsDouble()));
+}
+
+TEST_F(CsvLoaderTest, QuotedEmptyFieldIsAnEmptyString) {
+  auto loaded = LoadCsvIntoTable(&db_, "people", "5,\"\",,,\n", /*has_header=*/false);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto r = db_.Execute("SELECT name FROM people WHERE id = 5");
+  ASSERT_TRUE(r.ok());
+  ASSERT_FALSE(r->rows[0][0].is_null());
+  EXPECT_EQ(r->rows[0][0].AsString(), "");
+}
+
 TEST_F(CsvLoaderTest, EmptyFieldsBecomeNull) {
   auto loaded = LoadCsvIntoTable(&db_, "people", "3,,,,\n", /*has_header=*/false);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -55,6 +79,8 @@ TEST_F(CsvLoaderTest, TypeErrorsRejected) {
       LoadCsvIntoTable(&db_, "people", "1,x,notanumber,2020-01-01,true", false).ok());
   EXPECT_FALSE(
       LoadCsvIntoTable(&db_, "people", "1,x,1.0,2020-13-01,true", false).ok());
+  EXPECT_FALSE(  // out of INT range: rejected, not clamped
+      LoadCsvIntoTable(&db_, "people", "99999999999999999999,x,1.0,,", false).ok());
 }
 
 TEST_F(CsvLoaderTest, QuotesInStringsSurviveRoundTrip) {

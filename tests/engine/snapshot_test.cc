@@ -4,8 +4,15 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
+
+#include "storage/table.h"
 
 namespace seltrig {
 namespace {
@@ -19,6 +26,17 @@ class SnapshotTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  // Saves a one-table snapshot, then replaces t.csv with `csv` as a hand
+  // edit would, and returns the status of loading it into a fresh database.
+  Status LoadEditedSnapshot(const std::string& csv) {
+    Database original;
+    EXPECT_TRUE(original.Execute("CREATE TABLE t (id INT PRIMARY KEY, d DOUBLE)").ok());
+    EXPECT_TRUE(SaveSnapshot(&original, dir_.string()).ok());
+    std::ofstream(dir_ / "t.csv", std::ios::trunc) << csv;
+    Database restored;
+    return LoadSnapshot(&restored, dir_.string());
+  }
 
   std::filesystem::path dir_;
 };
@@ -55,6 +73,69 @@ newline', -0.5, NULL, FALSE),
   auto empty = restored.Execute("SELECT COUNT(*) FROM empty_table");
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty->rows[0][0].AsInt(), 0);
+}
+
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+TEST_F(SnapshotTest, DoublesRoundTripBitForBit) {
+  const std::vector<double> values = {173665.47, 0.1234567891, 1e-300, -0.0,
+                                      9007199254740994.0 /* 2^53 + 2 */};
+  Database original;
+  ASSERT_TRUE(original.Execute("CREATE TABLE t (id INT PRIMARY KEY, d DOUBLE)").ok());
+  Table* source = original.catalog()->GetTable("t").value();
+  for (size_t i = 0; i < values.size(); ++i) {
+    ASSERT_TRUE(source->Insert({Value::Int(static_cast<int64_t>(i)),
+                                Value::Double(values[i])}).ok());
+  }
+  ASSERT_TRUE(SaveSnapshot(&original, dir_.string()).ok());
+
+  Database restored;
+  ASSERT_TRUE(LoadSnapshot(&restored, dir_.string()).ok());
+  Table* table = restored.catalog()->GetTable("t").value();
+  ASSERT_EQ(table->live_row_count(), values.size());
+  for (size_t row_id = 0; row_id < table->slot_count(); ++row_id) {
+    const Row row = table->GetRow(row_id);
+    const double expected = values[static_cast<size_t>(row[0].AsInt())];
+    ASSERT_EQ(row[1].type(), TypeId::kDouble);
+    EXPECT_EQ(Bits(row[1].AsDouble()), Bits(expected)) << RowToString(row);
+  }
+}
+
+TEST_F(SnapshotTest, EmptyStringStaysDistinctFromNull) {
+  Database original;
+  ASSERT_TRUE(original.ExecuteScript(R"sql(
+    CREATE TABLE t (id INT PRIMARY KEY, s VARCHAR);
+    INSERT INTO t VALUES (1, ''), (2, NULL);
+  )sql").ok());
+  ASSERT_TRUE(SaveSnapshot(&original, dir_.string()).ok());
+
+  Database restored;
+  ASSERT_TRUE(LoadSnapshot(&restored, dir_.string()).ok());
+  auto r = restored.Execute("SELECT id, s IS NULL FROM t ORDER BY id");
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->rows.size(), 2u);
+  EXPECT_FALSE(r->rows[0][1].AsBool());
+  EXPECT_TRUE(r->rows[1][1].AsBool());
+}
+
+TEST_F(SnapshotTest, LoadErrorsNameTheFileAndRecord) {
+  struct Case {
+    const char* csv;
+    const char* detail;
+  };
+  for (const Case& c : {Case{"id,d\n1,1.5\nx,2\n", "is not an INT"},
+                        Case{"id,d\n1,1.5\n2\n", "has 1 fields"},
+                        Case{"id,d\n1,1.5\n1,2.5\n", "duplicate primary key"}}) {
+    Status status = LoadEditedSnapshot(c.csv);
+    ASSERT_FALSE(status.ok()) << c.csv;
+    EXPECT_NE(status.message().find("t.csv: CSV record 3: "), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find(c.detail), std::string::npos) << status.message();
+  }
 }
 
 TEST_F(SnapshotTest, AuditPolicyReappliesOverRestoredData) {

@@ -22,6 +22,7 @@
 #include "catalog/catalog.h"
 #include "common/fault_injector.h"
 #include "common/file_util.h"
+#include "common/string_util.h"
 #include "engine/database.h"
 #include "engine/session.h"
 #include "replication/applier.h"
@@ -454,6 +455,51 @@ TEST_F(ReplicationTest, CheckpointTruncatedPrimaryShipsSnapshotCatchUp) {
   EXPECT_GE((*applier)->stats().snapshots_installed, 1u);
   // The database pointer was replaced by the snapshot install; fetch it now.
   EXPECT_EQ(Projection((*applier)->database().get()), Projection(db.get()));
+  (*applier)->Stop();
+}
+
+// A follower that installed a snapshot holds its DOUBLEs with every digit,
+// so the primary's later UPDATE records, which name the exact old-row image,
+// find their rows on the follower.
+TEST_F(ReplicationTest, SnapshotInstalledFollowerAppliesUpdatesOfExactDoubles) {
+  std::unique_ptr<Database> db = OpenPrimary(primary_dir_);
+  ASSERT_NE(db, nullptr);
+  for (const std::string& sql : AuditedWorkload()) {
+    ASSERT_TRUE(db->Execute(sql).ok()) << sql;
+  }
+  ASSERT_TRUE(db->ExecuteScript(
+      "CREATE TABLE readings (id INT PRIMARY KEY, d DOUBLE);"
+      "INSERT INTO readings VALUES (1, 173665.47), (2, 0.1234567891), (3, 1e-300);")
+                  .ok());
+  ASSERT_TRUE(db->Checkpoint().ok());
+
+  auto applier = ReplicaApplier::Open(follower_dir_);
+  ASSERT_TRUE(applier.ok()) << applier.status().message();
+  LogShipper shipper(db.get(), TestOptions(ReplicationAckMode::kAsync));
+  shipper.AddFollower("f0", Connect(applier->get()));
+  ASSERT_TRUE(WaitCaughtUp(shipper));
+  EXPECT_GE(shipper.Followers()[0].snapshots_sent, 1u);
+
+  ASSERT_TRUE(db->Execute("UPDATE readings SET id = 10 WHERE id = 1").ok());
+  ASSERT_TRUE(db->Execute("UPDATE readings SET d = d * 3 WHERE id = 2").ok());
+  ASSERT_TRUE(db->Execute("DELETE FROM readings WHERE id = 3").ok());
+  ASSERT_TRUE(db->Execute("UPDATE patients SET name = 'Al' WHERE patientid = 1").ok());
+  ASSERT_TRUE(WaitCaughtUp(shipper));
+  shipper.Stop();
+
+  Database* follower = (*applier)->database().get();
+  EXPECT_TRUE((*applier)->health().ok()) << (*applier)->health().message();
+  EXPECT_EQ(Projection(follower), Projection(db.get()));
+  auto exact_readings = [](Database* d) {
+    std::vector<std::string> out;
+    auto r = d->Execute("SELECT id, d FROM readings ORDER BY id");
+    if (!r.ok()) return std::vector<std::string>{r.status().message()};
+    for (const Row& row : r->rows) {
+      out.push_back(row[0].ToString() + ":" + FormatDoubleExact(row[1].AsDouble()));
+    }
+    return out;
+  };
+  EXPECT_EQ(exact_readings(follower), exact_readings(db.get()));
   (*applier)->Stop();
 }
 

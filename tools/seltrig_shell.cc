@@ -375,8 +375,9 @@ bool HandleDotCommand(Shell* sh, const std::string& line) {
   } else if (cmd == ".wal") {
     // Open (or create) a durable database at DIR: recover snapshot + journal,
     // then journal every statement from here on. Replaces the current
-    // in-memory database. Note: .tpch/.import/.open bulk loads bypass the
-    // journal — run CHECKPOINT after them or they will not survive a crash.
+    // in-memory database. Note: .tpch bulk loads bypass the journal — run
+    // CHECKPOINT after them or they will not survive a crash (.open
+    // checkpoints by itself; .import runs one journaled INSERT per row).
     std::string dir;
     in >> dir;
     if (dir.empty()) {

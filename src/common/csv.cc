@@ -1,7 +1,5 @@
 #include "common/csv.h"
 
-#include <algorithm>
-
 namespace seltrig {
 
 Result<std::vector<std::string>> ParseCsvLine(const std::string& line,
@@ -17,34 +15,37 @@ Result<std::vector<std::string>> ParseCsvLine(const std::string& line,
     if (quoted_fields != nullptr) quoted_fields->push_back(field_quoted);
     field_quoted = false;
   };
-  // Runs of plain bytes are appended whole; only quotes and commas are
-  // looked at one by one.
   size_t i = 0;
   while (i < line.size()) {
+    char c = line[i];
     if (quoted) {
-      const size_t quote = line.find('"', i);
-      if (quote == std::string::npos) break;  // unterminated
-      field.append(line, i, quote - i);
-      if (quote + 1 < line.size() && line[quote + 1] == '"') {
-        field += '"';
-        i = quote + 2;
-      } else {
+      if (c == '"') {
+        if (i + 1 < line.size() && line[i + 1] == '"') {
+          field += '"';
+          i += 2;
+          continue;
+        }
         quoted = false;
-        i = quote + 1;
+        ++i;
+        continue;
       }
+      field += c;
+      ++i;
       continue;
     }
-    if (line[i] == '"' && field.empty()) {
+    if (c == '"' && field.empty()) {
       quoted = true;
       field_quoted = true;
       ++i;
       continue;
     }
-    const size_t comma = std::min(line.find(',', i), line.size());
-    field.append(line, i, comma - i);
-    if (comma == line.size()) break;
-    end_field();
-    i = comma + 1;
+    if (c == ',') {
+      end_field();
+      ++i;
+      continue;
+    }
+    field += c;
+    ++i;
   }
   if (quoted) return Status::InvalidArgument("unterminated quote in CSV record");
   end_field();
@@ -53,24 +54,21 @@ Result<std::vector<std::string>> ParseCsvLine(const std::string& line,
 
 std::vector<std::string> SplitCsvRecords(const std::string& text) {
   std::vector<std::string> records;
-  // Each record is copied out once, when its end is found. A "" escape
-  // flips the quote state twice, so it needs no case of its own.
-  auto record = [&](size_t begin, size_t end) {
-    if (end > begin && text[end - 1] == '\r') --end;
-    return std::string(text, begin, end - begin);
-  };
+  std::string current;
   bool quoted = false;
-  size_t start = 0;
   for (size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '"') {
-      quoted = !quoted;
-    } else if (text[i] == '\n' && !quoted) {
-      records.push_back(record(start, i));
-      start = i + 1;
+    char c = text[i];
+    if (c == '"') quoted = !quoted;
+    if (c == '\n' && !quoted) {
+      if (!current.empty() && current.back() == '\r') current.pop_back();
+      records.push_back(std::move(current));
+      current.clear();
+      continue;
     }
+    current += c;
   }
-  std::string last = record(start, text.size());
-  if (!last.empty()) records.push_back(std::move(last));
+  if (!current.empty() && current.back() == '\r') current.pop_back();
+  if (!current.empty()) records.push_back(std::move(current));
   return records;
 }
 

@@ -11,12 +11,12 @@
 namespace seltrig {
 
 // Parses one CSV record (no trailing newline). Supports double-quoted fields
-// with "" escapes; unquoted fields are taken verbatim. With `quoted` set, it
-// also receives, per field, whether the field was enclosed in quotes: that is
-// what tells a quoted empty field ("", an empty string) from an unquoted one
-// (a missing value).
-Result<std::vector<std::string>> ParseCsvLine(const std::string& line,
-                                              std::vector<bool>* quoted = nullptr);
+// with "" escapes; unquoted fields are taken verbatim. With `quoted_fields`
+// set, it also receives, per field, whether the field was enclosed in
+// quotes: that is what tells a quoted empty field ("", an empty string) from
+// an unquoted one (a missing value).
+Result<std::vector<std::string>> ParseCsvLine(
+    const std::string& line, std::vector<bool>* quoted_fields = nullptr);
 
 // Splits `text` into physical lines, honoring newlines inside quoted fields.
 std::vector<std::string> SplitCsvRecords(const std::string& text);

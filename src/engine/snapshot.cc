@@ -181,6 +181,32 @@ Status LoadSnapshotTable(Database* db, const std::string& name,
   return Status(loaded.code(), path + ": " + loaded.message());
 }
 
+// Restores every table's CSV, then the policy section, then the quarantine
+// state recorded in `manifest` (when there is one).
+Status RestoreRowsAndPolicy(Database* db, const std::string& dir,
+                            const std::string& policy,
+                            const SnapshotManifest* manifest) {
+  std::vector<std::string> tables = db->catalog()->TableNames();
+  std::sort(tables.begin(), tables.end());
+  for (const std::string& name : tables) {
+    std::string path = dir + "/" + name + ".csv";
+    if (!std::filesystem::exists(path)) continue;  // table from another source
+    SELTRIG_RETURN_IF_ERROR(LoadSnapshotTable(db, name, path));
+  }
+
+  if (!policy.empty()) {
+    SELTRIG_RETURN_IF_ERROR(db->ExecuteScript(policy));
+  }
+
+  if (manifest != nullptr) {
+    for (const SnapshotManifest::QuarantineEntry& entry : manifest->quarantined) {
+      SELTRIG_RETURN_IF_ERROR(db->trigger_manager()->RestoreQuarantineState(
+          entry.trigger, /*quarantined=*/true, entry.failures));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status SaveSnapshot(Database* db, const std::string& dir,
@@ -316,29 +342,15 @@ Status LoadSnapshot(Database* db, const std::string& dir) {
     }
   }
 
-  std::vector<std::string> tables = db->catalog()->TableNames();
-  std::sort(tables.begin(), tables.end());
-  for (const std::string& name : tables) {
-    std::string path = dir + "/" + name + ".csv";
-    if (!std::filesystem::exists(path)) continue;  // table from another source
-    SELTRIG_RETURN_IF_ERROR(LoadSnapshotTable(db, name, path));
-  }
-
-  if (!policy.empty()) {
-    SELTRIG_RETURN_IF_ERROR(db->ExecuteScript(policy));
-  }
-
-  if (manifest.ok()) {
-    for (const SnapshotManifest::QuarantineEntry& entry : manifest->quarantined) {
-      SELTRIG_RETURN_IF_ERROR(db->trigger_manager()->RestoreQuarantineState(
-          entry.trigger, /*quarantined=*/true, entry.failures));
-    }
-  }
+  Status restored =
+      RestoreRowsAndPolicy(db, dir, policy, manifest.ok() ? &*manifest : nullptr);
   // Into a journaled database (the shell's .open after .wal), schema.sql's
-  // statements were journaled but the rows were not. Checkpoint so the rows
+  // and the policy's statements were journaled but the rows were not.
+  // Checkpoint whatever was restored, after a failed load too, so the rows
   // are durable and later journaled UPDATEs and DELETEs find them on replay.
-  if (db->wal() != nullptr) return db->Checkpoint();
-  return Status::OK();
+  if (db->wal() == nullptr) return restored;
+  Status checkpointed = db->Checkpoint();
+  return restored.ok() ? checkpointed : restored;
 }
 
 Result<SnapshotManifest> ReadSnapshotManifest(const std::string& dir) {

@@ -83,8 +83,10 @@ Status SaveSnapshot(Database* db, const std::string& dir,
 // views from the loaded rows; quarantine state from MANIFEST is restored
 // last. Loaded rows are NOT journaled — Database::Recover enables the WAL
 // only afterwards; a load into an already journaled database ends with a
-// Checkpoint instead, which makes the rows durable. A malformed CSV fails
-// the load with an error naming the file and the record.
+// Checkpoint instead, after a failed load too, which makes whatever was
+// restored durable. Such a load is not atomic: a crash before that
+// checkpoint ends recovers the created tables without their rows. A
+// malformed CSV fails the load with an error naming the file and the record.
 Status LoadSnapshot(Database* db, const std::string& dir);
 
 Result<SnapshotManifest> ReadSnapshotManifest(const std::string& dir);

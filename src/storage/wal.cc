@@ -83,9 +83,7 @@ size_t VarintSize(uint64_t v) {
 }
 
 // The encoder's side of a record's string numbering. Keys are views into the
-// ops being encoded, so nothing is copied. The first kInline distinct strings
-// live in a small array searched linearly; only a record with more reaches
-// the hash map, so a one-op record allocates nothing here.
+// ops being encoded, so nothing is copied.
 class StringTable {
  public:
   // True, with *index set, when `s` was already spelled out in this record
@@ -93,11 +91,9 @@ class StringTable {
   // `s` is about to be spelled out and takes the next number.
   bool Find(std::string_view s, uint64_t* index) {
     if (!s.empty()) {  // a reference to "" is never shorter
-      const uint64_t* first = FirstNumber(s);
-      if (first == nullptr) {
-        Remember(s, literals_);
-      } else if (VarintSize(*first) < VarintSize(s.size()) + s.size()) {
-        *index = *first;
+      auto [it, inserted] = first_.try_emplace(s, literals_);
+      if (!inserted && VarintSize(it->second) < VarintSize(s.size()) + s.size()) {
+        *index = it->second;
         return true;
       }
     }
@@ -106,28 +102,7 @@ class StringTable {
   }
 
  private:
-  static constexpr size_t kInline = 8;
-
-  // The number `s` took when first spelled out, or null.
-  const uint64_t* FirstNumber(std::string_view s) const {
-    for (size_t i = 0; i < inline_size_; ++i) {
-      if (inline_[i].first == s) return &inline_[i].second;
-    }
-    auto it = overflow_.find(s);
-    return it == overflow_.end() ? nullptr : &it->second;
-  }
-
-  void Remember(std::string_view s, uint64_t number) {
-    if (inline_size_ < kInline) {
-      inline_[inline_size_++] = {s, number};
-    } else {
-      overflow_.emplace(s, number);
-    }
-  }
-
-  std::pair<std::string_view, uint64_t> inline_[kInline];
-  size_t inline_size_ = 0;
-  std::unordered_map<std::string_view, uint64_t> overflow_;
+  std::unordered_map<std::string_view, uint64_t> first_;
   uint64_t literals_ = 0;
 };
 

@@ -714,5 +714,39 @@ TEST_F(RecoveryTest, SnapshotLoadedIntoJournaledDatabaseSurvivesReopen) {
   ExpectSameContents(Contents(recovered.get()), live);
 }
 
+// A load into a journaled database that fails part way still checkpoints:
+// the first table's rows are in storage, and a later UPDATE of one of them
+// is journaled against a row image that replay must find.
+TEST_F(RecoveryTest, FailedSnapshotLoadIntoJournaledDatabaseSurvivesReopen) {
+  const std::string snapshot = dir_ + "_plain_snapshot";
+  {
+    Database source;
+    ASSERT_TRUE(source.ExecuteScript(R"sql(
+      CREATE TABLE a (id INT PRIMARY KEY, d DOUBLE);
+      CREATE TABLE b (id INT PRIMARY KEY, name VARCHAR);
+      INSERT INTO a VALUES (1, 1.5), (2, 2.5);
+      INSERT INTO b VALUES (1, 'x');
+    )sql").ok());
+    ASSERT_TRUE(SaveSnapshot(&source, snapshot).ok());
+  }
+  std::ofstream(snapshot + "/b.csv", std::ios::trunc) << "id,name\n1,x\nbad,y\n";
+  TableRows live;
+  {
+    std::unique_ptr<Database> db = OpenDurable();
+    ASSERT_NE(db, nullptr);
+    Status loaded = LoadSnapshot(db.get(), snapshot);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.message().find("b.csv: CSV record 3"), std::string::npos)
+        << loaded.message();
+    ASSERT_EQ(Count(db.get(), "a"), 2);
+    ASSERT_TRUE(db->Execute("UPDATE a SET d = 3 WHERE id = 1").ok());
+    live = Contents(db.get());
+  }
+  std::filesystem::remove_all(snapshot);
+  std::unique_ptr<Database> recovered = OpenDurable();
+  ASSERT_NE(recovered, nullptr);
+  ExpectSameContents(Contents(recovered.get()), live);
+}
+
 }  // namespace
 }  // namespace seltrig
